@@ -82,14 +82,15 @@ namespace {
 
 class SerialBackend final : public EvalBackend {
  public:
-  void run(std::span<const std::function<void()>> jobs) override {
-    for (const auto& job : jobs) job();
+  void run(std::size_t n,
+           const std::function<void(std::size_t)>& task) override {
+    for (std::size_t i = 0; i < n; ++i) task(i);
   }
   [[nodiscard]] int threads() const override { return 1; }
 };
 
-// N persistent workers draining a per-batch job index. run() blocks until
-// every job of the batch has completed.
+// N persistent workers draining a per-run task index. run() blocks until
+// every task of the run has completed.
 class ThreadPoolBackend final : public EvalBackend {
  public:
   explicit ThreadPoolBackend(int threads) {
@@ -108,15 +109,18 @@ class ThreadPoolBackend final : public EvalBackend {
     for (auto& w : workers_) w.join();
   }
 
-  void run(std::span<const std::function<void()>> jobs) override {
-    if (jobs.empty()) return;
+  void run(std::size_t n,
+           const std::function<void(std::size_t)>& task) override {
+    if (n == 0) return;
     std::unique_lock<std::mutex> lock(mu_);
-    jobs_ = jobs;
+    task_ = &task;
+    size_ = n;
     next_ = 0;
-    remaining_ = jobs.size();
+    remaining_ = n;
     cv_work_.notify_all();
     cv_done_.wait(lock, [this] { return remaining_ == 0; });
-    jobs_ = {};
+    task_ = nullptr;
+    size_ = 0;
   }
 
   [[nodiscard]] int threads() const override {
@@ -127,11 +131,12 @@ class ThreadPoolBackend final : public EvalBackend {
   void worker_loop() {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      cv_work_.wait(lock, [this] { return stop_ || next_ < jobs_.size(); });
+      cv_work_.wait(lock, [this] { return stop_ || next_ < size_; });
       if (stop_) return;
       const std::size_t idx = next_++;
+      const std::function<void(std::size_t)>& task = *task_;
       lock.unlock();
-      jobs_[idx]();  // jobs trap their own exceptions (see eval_batch)
+      task(idx);  // tasks trap their own exceptions (see parallel_for)
       lock.lock();
       if (--remaining_ == 0) cv_done_.notify_one();
     }
@@ -141,7 +146,8 @@ class ThreadPoolBackend final : public EvalBackend {
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
-  std::span<const std::function<void()>> jobs_;
+  const std::function<void(std::size_t)>* task_ = nullptr;
+  std::size_t size_ = 0;
   std::size_t next_ = 0;
   std::size_t remaining_ = 0;
   bool stop_ = false;
@@ -252,8 +258,8 @@ std::vector<EvalResult> EvalService::eval_batch_multi(
   // Submission pass (sequential, submission order): refine, look up the
   // cache, dedupe repeats within the batch, and schedule fresh designs.
   struct Slot {
-    CachedEval sim;                 // filled by the job
-    std::exception_ptr unexpected;  // non-SimError escape hatch
+    std::size_t item = 0;  // the batch item whose refined design this job runs
+    CachedEval sim;        // filled by the job
     // Pre-batch snapshot of the submitter's warm-start bank (engaged only
     // under cfg_.dc_warm_start with a valid attribution slot). Every
     // same-attr fresh job in a batch starts from the same snapshot; the
@@ -267,10 +273,8 @@ std::vector<EvalResult> EvalService::eval_batch_multi(
   std::unordered_map<EvalCache::Key, long, EvalCache::KeyHash,
                      EvalCache::KeyEqual>
       scheduled;
-  std::vector<std::function<void()>> jobs;
   std::vector<Slot> slots;
   slots.reserve(n);
-  std::size_t num_jobs = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const BenchmarkCircuit& bc = *jobs_in[i].bc;
     count(jobs_in[i].attr, &EvalCounters::requested);
@@ -296,67 +300,54 @@ std::vector<EvalResult> EvalService::eval_batch_multi(
         continue;
       }
     }
-    job_of[i] = static_cast<long>(num_jobs);
+    job_of[i] = static_cast<long>(slots.size());
     first_of_job[i] = true;
     if (cache_.capacity() > 0) scheduled.emplace(keys[i], job_of[i]);
     slots.emplace_back();
+    slots.back().item = i;
     if (cfg_.dc_warm_start && jobs_in[i].attr >= 0) {
       slots.back().warm =
           warm_banks_.at(static_cast<std::size_t>(jobs_in[i].attr));
     }
-    ++num_jobs;
     count(jobs_in[i].attr, &EvalCounters::sims);
   }
   // Jobs are pure functions of (netlist, params): each copies the netlist,
   // applies its parameters, and runs the measurement closure. SimError is
-  // part of the result; anything else is rethrown after the batch.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!first_of_job[i]) continue;
-    Slot& slot = slots[static_cast<std::size_t>(job_of[i])];
-    const BenchmarkCircuit* bc = jobs_in[i].bc;
-    const circuit::DesignParams& params = results[i].params;
-    jobs.emplace_back([bc, &params, &slot] {
-      try {
-        circuit::Netlist sized = bc->netlist;
-        bc->space.apply(sized, params);
-        if (slot.warm) {
-          // Thread-local scope: Simulators built inside the closure claim
-          // consecutive bank slots and warm-start from the previous
-          // design's converged operating points.
-          sim::WarmStartScope scope(&*slot.warm);
-          slot.sim.metrics = bc->evaluate(sized);
-        } else {
-          slot.sim.metrics = bc->evaluate(sized);
-        }
-        slot.sim.sim_ok = true;
-      } catch (const sim::SimError&) {
-        slot.sim.sim_ok = false;
-        slot.sim.metrics.clear();
-      } catch (...) {
-        slot.unexpected = std::current_exception();
-      }
-    });
-  }
-
-  backend_->run(jobs);
-
-  // Commit pass (sequential, submission order): surface unexpected errors,
-  // fill fresh/deduped results, and insert cache entries deterministically.
-  for (const Slot& slot : slots) {
-    if (slot.unexpected) std::rethrow_exception(slot.unexpected);
-  }
-  // Warm-bank writeback in submission order: the last fresh job of each
-  // attribution slot defines its bank for the next batch.
-  if (cfg_.dc_warm_start) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!first_of_job[i] || jobs_in[i].attr < 0) continue;
-      Slot& slot = slots[static_cast<std::size_t>(job_of[i])];
+  // part of the result; anything else escapes to parallel_for, which
+  // rethrows it after the batch, before any result is committed.
+  parallel_for(slots.size(), [&](std::size_t j) {
+    Slot& slot = slots[j];
+    const BenchmarkCircuit& bc = *jobs_in[slot.item].bc;
+    try {
+      circuit::Netlist sized = bc.netlist;
+      bc.space.apply(sized, results[slot.item].params);
       if (slot.warm) {
-        warm_banks_.at(static_cast<std::size_t>(jobs_in[i].attr)) =
-            std::move(*slot.warm);
+        // Thread-local scope: Simulators built inside the closure claim
+        // consecutive bank slots and warm-start from the previous
+        // design's converged operating points.
+        sim::WarmStartScope scope(&*slot.warm);
+        slot.sim.metrics = bc.evaluate(sized);
+      } else {
+        slot.sim.metrics = bc.evaluate(sized);
       }
+      slot.sim.sim_ok = true;
+    } catch (const sim::SimError&) {
+      slot.sim.sim_ok = false;
+      slot.sim.metrics.clear();
+    }
+  });
+
+  // Commit pass (sequential, submission order). Warm-bank writeback first:
+  // slots are in submission order, so the last fresh job of each
+  // attribution slot defines its bank for the next batch.
+  for (Slot& slot : slots) {
+    if (slot.warm) {
+      warm_banks_.at(static_cast<std::size_t>(jobs_in[slot.item].attr)) =
+          std::move(*slot.warm);
     }
   }
+  // Then fill fresh/deduped results and insert cache entries
+  // deterministically.
   for (std::size_t i = 0; i < n; ++i) {
     if (job_of[i] < 0) continue;  // cache hit, already filled
     const Slot& slot = slots[static_cast<std::size_t>(job_of[i])];
@@ -368,6 +359,21 @@ std::vector<EvalResult> EvalService::eval_batch_multi(
     }
   }
   return results;
+}
+
+void EvalService::parallel_for(std::size_t n,
+                               const std::function<void(std::size_t)>& body) {
+  std::vector<std::exception_ptr> errors(n);
+  backend_->run(n, [&body, &errors](std::size_t i) {
+    try {
+      body(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 std::vector<EvalResult> EvalService::eval_batch(

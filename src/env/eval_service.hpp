@@ -93,14 +93,15 @@ class EvalCache {
       map_;
 };
 
-// Backend strategy: execute a batch of independent evaluation jobs. Jobs
-// are self-contained (they catch their own simulation errors) and may run
-// in any order on any thread; completion of run() implies completion of
-// every job.
+// Backend strategy: run task(0) ... task(n-1) as independent tasks. Tasks
+// must not throw (EvalService::parallel_for traps their exceptions) and may
+// run in any order on any thread; completion of run() implies completion
+// of every task.
 class EvalBackend {
  public:
   virtual ~EvalBackend() = default;
-  virtual void run(std::span<const std::function<void()>> jobs) = 0;
+  virtual void run(std::size_t n,
+                   const std::function<void(std::size_t)>& task) = 0;
   [[nodiscard]] virtual int threads() const = 0;
 };
 
@@ -154,6 +155,14 @@ class EvalService {
                                      int attr = -1);
   EvalResult eval_one(const BenchmarkCircuit& bc, const la::Mat& actions,
                       int attr = -1);
+
+  // Run body(0) ... body(n-1) as independent tasks on the service's
+  // workers (inline, in index order, on the serial backend) and return
+  // once all of them have finished. Each task traps its own exception;
+  // after the last task finishes, the lowest-index exception is rethrown.
+  // Tasks must not share mutable state or call back into this service.
+  void parallel_for(std::size_t n,
+                    const std::function<void(std::size_t)>& body);
 
   [[nodiscard]] int threads() const;
   EvalCache& cache() { return cache_; }

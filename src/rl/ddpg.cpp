@@ -14,6 +14,22 @@ NetworkConfig net_config(const DdpgConfig& cfg, int state_dim) {
 
 }  // namespace
 
+void critic_backward(GcnCritic& critic, const la::Mat& state,
+                     const la::Mat& a_hat, const TypeMasks& masks,
+                     std::span<const Transition* const> batch,
+                     double baseline) {
+  const double inv_b = 1.0 / static_cast<double>(batch.size());
+  for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
+    const Transition& t = **it;
+    ag::Tape tape;
+    ag::Var q = critic.forward(tape, tape.constant(state),
+                               tape.constant(t.actions), a_hat, masks);
+    la::Mat target(1, 1);
+    target(0, 0) = t.reward - baseline;
+    tape.backward(ag::scale(ag::mse_const(q, target), inv_b));
+  }
+}
+
 DdpgAgent::DdpgAgent(const la::Mat& state, const la::Mat& adjacency,
                      const std::vector<circuit::Kind>& kinds, DdpgConfig cfg,
                      Rng rng)
@@ -69,21 +85,7 @@ void DdpgAgent::update() {
 
   // --- critic: minimize mean (R - B - Q(S,A))^2 ------------------------
   critic_.zero_grad();
-  {
-    ag::Tape tape;
-    ag::Var loss;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ag::Var q = critic_.forward(tape, tape.constant(state_),
-                                  tape.constant(batch[i]->actions), a_hat_,
-                                  masks_);
-      la::Mat target(1, 1);
-      target(0, 0) = batch[i]->reward - b;
-      ag::Var l = ag::mse_const(q, target);
-      loss = i == 0 ? l : ag::add(loss, l);
-    }
-    loss = ag::scale(loss, 1.0 / static_cast<double>(batch.size()));
-    tape.backward(loss);
-  }
+  critic_backward(critic_, state_, a_hat_, masks_, batch, b);
   opt_critic_.step();
 
   // --- actor: ascend Q(S, mu(S)) ---------------------------------------

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 
 #include "nn/adam.hpp"
@@ -42,6 +43,18 @@ struct DdpgConfig {
   double sigma_min = 0.03;
   double baseline_tau = 0.05;  // EMA coefficient for the reward baseline B
 };
+
+// Critic half of one update: accumulates into the critic's parameter grads
+// the gradient of (1/B) * sum_i (Q(S, A_i) - (R_i - baseline))^2 over the B
+// transitions of a non-empty `batch`. Each sample gets its own small tape,
+// visited last to first. A single tape over the whole batch reaches sample
+// B-1's parameter leaves first in its reverse sweep, so the gradients
+// accumulate in the same order and come out bit-identical, while only one
+// sample's graph is alive at a time.
+void critic_backward(GcnCritic& critic, const la::Mat& state,
+                     const la::Mat& a_hat, const TypeMasks& masks,
+                     std::span<const Transition* const> batch,
+                     double baseline);
 
 class DdpgAgent {
  public:

@@ -1,6 +1,7 @@
 #include "rl/run_loop.hpp"
 
 #include <algorithm>
+#include <set>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -81,12 +82,18 @@ void run_ddpg_lockstep_group(std::span<env::SizingEnv* const> envs,
     }
     // One multi-circuit batch: one independent simulation per active pair.
     const std::vector<env::EvalResult> results = svc.eval_batch_multi(jobs);
-    // Observe phase, pair order: replay pushes and network updates are
-    // strictly per-agent, so sequencing them preserves serial semantics.
+    // Observe phase: replay pushes and network updates are strictly
+    // per-agent and the agents share no mutable state, so each active
+    // pair's observe() runs as one task on the service's workers, with the
+    // same result at any thread count.
+    svc.parallel_for(active.size(), [&](std::size_t j) {
+      const std::size_t k = active[j];
+      agents[members[k]]->observe(actions[k], results[j].fom);
+    });
+    // Ledger charges and commits, pair order.
     for (std::size_t j = 0; j < active.size(); ++j) {
       const std::size_t k = active[j];
       const std::size_t i = members[k];
-      agents[i]->observe(actions[k], results[j].fom);
       out[i].sims +=
           ledgers[k].charge(envs[i]->bench().space, results[j].params);
       out[i].commit(actions[k], results[j]);
@@ -146,6 +153,11 @@ std::vector<RunResult> run_ddpg_lockstep(std::span<env::SizingEnv* const> envs,
   if (envs.size() != agents.size() || envs.size() != steps.size()) {
     throw std::invalid_argument(
         "run_ddpg_lockstep: envs, agents and steps must pair up");
+  }
+  if (std::set<const DdpgAgent*>(agents.begin(), agents.end()).size() !=
+      agents.size()) {
+    throw std::invalid_argument(
+        "run_ddpg_lockstep: an agent appears in more than one pair");
   }
   std::vector<RunResult> out(envs.size());
   if (envs.empty()) return out;

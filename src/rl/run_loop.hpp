@@ -59,13 +59,16 @@ RunResult run_ddpg(env::SizingEnv& env, DdpgAgent& agent, int steps);
 
 // Lockstep multi-seed DDPG: step S independent (env, agent) pairs side by
 // side. Per step, the exploration actions of every still-active pair are
-// collected in pair order, submitted to the pairs' shared EvalService as
-// one multi-circuit batch (this is where the thread pool earns its keep —
-// DDPG is sequential within a seed but the seeds are independent), and the
-// observe()/commit() updates then run sequentially in pair order. Each
-// agent's RNG stream, replay history, and reward sequence are exactly what
-// serial run_ddpg would produce, so per-pair results are bit-identical to
-// S serial runs at any GCNRL_EVAL_THREADS.
+// collected in pair order and submitted to the pairs' shared EvalService
+// as one multi-circuit batch. DDPG is sequential within a seed but the
+// seeds are independent, so the active pairs' observe() calls (replay
+// push plus the critic/actor updates, the bulk of a step) then run
+// concurrently, one task per pair on the service's workers
+// (EvalService::parallel_for), and the sim charges and commits follow
+// sequentially in pair order. Each agent's RNG stream, replay history, and
+// reward sequence are exactly what serial run_ddpg would produce, so
+// per-pair results are bit-identical to S serial runs at any
+// GCNRL_EVAL_THREADS.
 //
 // Pairs may mix circuits, technologies, and FoM specs freely. Pairs on
 // different EvalServices cannot share a batch, so they are transparently
@@ -75,7 +78,9 @@ RunResult run_ddpg(env::SizingEnv& env, DdpgAgent& agent, int steps);
 // batches instead of padding them with wasted simulations.
 //
 // Requirements: envs, agents (and steps, for the span overload) must have
-// equal sizes; throws std::invalid_argument otherwise.
+// equal sizes, and paired agents must not share mutable state, since their
+// observe() calls run at the same time. Throws std::invalid_argument on a
+// size mismatch or when one agent appears in more than one pair.
 std::vector<RunResult> run_ddpg_lockstep(std::span<env::SizingEnv* const> envs,
                                          std::span<DdpgAgent* const> agents,
                                          std::span<const int> steps);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <thread>
 #include <vector>
 
@@ -221,6 +222,10 @@ struct GcirPort {
   const char* builtin;  // C++ builder registry name
   const char* file;     // repo-relative .gcir path
 };
+
+// Without this gtest prints the struct's raw bytes — two pointers, which
+// differ from run to run — and ctest names the discovered cases after them.
+void PrintTo(const GcirPort& p, std::ostream* os) { *os << p.builtin; }
 
 class GcirParityTest : public ::testing::TestWithParam<GcirPort> {};
 

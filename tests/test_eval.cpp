@@ -6,6 +6,8 @@
 // (the TSan target).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -13,6 +15,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuits/benchmark_circuits.hpp"
@@ -492,13 +495,120 @@ TEST(EvalService, DistinctCircuitsNeverAliasInTheSharedCache) {
   EXPECT_NE(rs[0].metrics, rs[1].metrics);
 }
 
+// An exception other than SimError from a circuit's evaluate() is not a
+// result: it reaches the caller of eval_batch, and it leaves no cache
+// entry behind for any design of that batch.
+TEST(EvalService, UnexpectedEvaluateErrorsEscapeTheBatch) {
+  auto bc = make_synthetic();
+  bc.evaluate = [](const gcnrl::circuit::Netlist& sized) -> env::MetricMap {
+    if (sized.mosfets()[0].w > 5e-6) throw std::logic_error("bad design");
+    return {{"speed", 1.0}, {"cost", 1.0}};
+  };
+  env::EvalService svc(config(4, 64));
+  const std::vector<la::Mat> xs = {la::Mat(3, 3, -0.5), la::Mat(3, 3, 0.9)};
+  EXPECT_THROW(svc.eval_batch(bc, xs), std::logic_error);
+  EXPECT_EQ(svc.cache().size(), 0u);
+  const env::EvalResult ok = svc.eval_one(bc, xs[0]);
+  EXPECT_TRUE(ok.sim_ok);
+  EXPECT_FALSE(ok.cached);
+}
+
+// --- EvalService::parallel_for, on the serial and the pool backend --------
+
+class ParallelFor : public ::testing::TestWithParam<int> {
+ protected:
+  env::EvalService svc_{config(GetParam(), 64)};
+};
+
+INSTANTIATE_TEST_SUITE_P(Backends, ParallelFor, ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return info.param == 1 ? std::string("Serial")
+                                                  : std::string("Pool");
+                         });
+
+TEST_P(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                              std::size_t{97}}) {
+    std::vector<int> hits(n, 0);
+    svc_.parallel_for(n, [&hits](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i], 1) << "n=" << n << " index " << i;
+    }
+  }
+}
+
+TEST_P(ParallelFor, ThrowReachesCallerOnlyAfterEveryOtherIndexFinished) {
+  const std::size_t n = 24;
+  std::vector<std::atomic<int>> done(n);
+  EXPECT_THROW(svc_.parallel_for(n,
+                                 [&done](std::size_t i) {
+                                   if (i == 0) throw std::runtime_error("0");
+                                   // Still running when index 0 throws.
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(2));
+                                   done[i] = 1;
+                                 }),
+               std::runtime_error);
+  for (std::size_t i = 1; i < n; ++i) EXPECT_EQ(done[i].load(), 1) << i;
+}
+
+TEST_P(ParallelFor, LowestThrowingIndexWins) {
+  // The highest throwing index throws first; the lowest one throws last.
+  const std::size_t n = 16;
+  try {
+    svc_.parallel_for(n, [](std::size_t i) {
+      if (i == 3 || i == 7 || i == 12) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(15 - i));
+        throw std::runtime_error(std::to_string(i));
+      }
+    });
+    FAIL() << "parallel_for swallowed the exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "3");
+  }
+}
+
+TEST_P(ParallelFor, ServiceEvaluatesNormallyAfterwards) {
+  EXPECT_THROW(svc_.parallel_for(8,
+                                 [](std::size_t i) {
+                                   if (i % 3 == 1) {
+                                     throw std::runtime_error("task");
+                                   }
+                                 }),
+               std::runtime_error);
+  const env::BenchmarkCircuit bc = make_synthetic();
+  env::EvalService fresh(config(1, 64));
+  Rng rng(5);
+  std::vector<la::Mat> xs;
+  for (int i = 0; i < 40; ++i) {
+    la::Mat x(3, 3);
+    for (int r = 0; r < 3; ++r) {
+      for (int c = 0; c < 3; ++c) x(r, c) = rng.uniform(-1.0, 1.0);
+    }
+    xs.push_back(x);
+  }
+  const auto got = svc_.eval_batch(bc, xs);
+  const auto want = fresh.eval_batch(bc, xs);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].fom, want[i].fom) << i;
+    EXPECT_EQ(got[i].sim_ok, want[i].sim_ok) << i;
+    EXPECT_EQ(got[i].metrics, want[i].metrics) << i;
+    EXPECT_EQ(got[i].cached, want[i].cached) << i;
+  }
+  EXPECT_EQ(svc_.sims(), fresh.sims());
+  EXPECT_EQ(svc_.cache_hits(), fresh.cache_hits());
+}
+
 namespace {
 
 // One serial run_ddpg per seed, each on its own private env — the
-// reference the lockstep engine must reproduce bit-for-bit.
+// reference the lockstep engine must reproduce bit-for-bit. `policies`,
+// when given, receives each agent's deterministic action mu(S) after its
+// run, which pins the trained weights, not just the best-so-far trace.
 std::vector<gcnrl::rl::RunResult> serial_ddpg_runs(
     const gcnrl::rl::DdpgConfig& cfg, const std::vector<std::uint64_t>& seeds,
-    int steps) {
+    int steps, std::vector<la::Mat>* policies = nullptr) {
   std::vector<gcnrl::rl::RunResult> out;
   for (const std::uint64_t seed : seeds) {
     env::SizingEnv e(make_synthetic(), env::IndexMode::OneHot,
@@ -506,6 +616,7 @@ std::vector<gcnrl::rl::RunResult> serial_ddpg_runs(
     gcnrl::rl::DdpgAgent agent(e.state(), e.adjacency(), e.kinds(), cfg,
                                Rng(seed));
     out.push_back(gcnrl::rl::run_ddpg(e, agent, steps));
+    if (policies != nullptr) policies->push_back(agent.act());
   }
   return out;
 }
@@ -526,7 +637,8 @@ void expect_lockstep_matches_serial(int threads) {
   const std::vector<std::uint64_t> seeds = {1000, 8919, 16838};
   const int steps = 30;
   const gcnrl::rl::DdpgConfig cfg = tiny_ddpg_config();
-  const auto serial = serial_ddpg_runs(cfg, seeds, steps);
+  std::vector<la::Mat> serial_policies;
+  const auto serial = serial_ddpg_runs(cfg, seeds, steps, &serial_policies);
 
   const auto svc =
       std::make_shared<env::EvalService>(config(threads, 256));
@@ -557,6 +669,17 @@ void expect_lockstep_matches_serial(int threads) {
     EXPECT_EQ(lockstep[s].best_fom, serial[s].best_fom);
     EXPECT_EQ(lockstep[s].best_metrics, serial[s].best_metrics);
     EXPECT_EQ(lockstep[s].evals, serial[s].evals);
+    // The observe() tasks ran on the pool: every agent must end with the
+    // serial agent's weights, bit for bit.
+    EXPECT_EQ(agents[s]->episode(), steps) << "seed " << seeds[s];
+    const la::Mat policy = agents[s]->act();
+    ASSERT_TRUE(policy.same_shape(serial_policies[s]));
+    for (int r = 0; r < policy.rows(); ++r) {
+      for (int c = 0; c < policy.cols(); ++c) {
+        EXPECT_EQ(policy(r, c), serial_policies[s](r, c))
+            << "seed " << seeds[s] << " mu(S)(" << r << "," << c << ")";
+      }
+    }
   }
 }
 
@@ -625,6 +748,27 @@ TEST(Lockstep, RejectsMismatchedSpans) {
   const std::vector<int> bad_steps = {1, 2};
   EXPECT_THROW(gcnrl::rl::run_ddpg_lockstep(envs, one, bad_steps),
                std::invalid_argument);
+}
+
+// The pairs' observe() calls run concurrently, so one agent in two pairs
+// would race with itself; the call is rejected before any step runs.
+TEST(Lockstep, RejectsDuplicateAgents) {
+  const auto svc = std::make_shared<env::EvalService>(config(4, 16));
+  env::SizingEnv a(make_synthetic(), env::IndexMode::OneHot, svc);
+  env::SizingEnv b(make_synthetic(), env::IndexMode::OneHot, svc);
+  env::SizingEnv c(make_synthetic(), env::IndexMode::OneHot, svc);
+  const gcnrl::rl::DdpgConfig cfg = tiny_ddpg_config();
+  gcnrl::rl::DdpgAgent shared(a.state(), a.adjacency(), a.kinds(), cfg,
+                              Rng(1));
+  gcnrl::rl::DdpgAgent other(a.state(), a.adjacency(), a.kinds(), cfg, Rng(2));
+  std::vector<env::SizingEnv*> envs = {&a, &b, &c};
+  std::vector<gcnrl::rl::DdpgAgent*> agents = {&shared, &other, &shared};
+  const long requested = svc->requested();
+  EXPECT_THROW(gcnrl::rl::run_ddpg_lockstep(envs, agents, 3),
+               std::invalid_argument);
+  EXPECT_EQ(shared.episode(), 0);
+  EXPECT_EQ(other.episode(), 0);
+  EXPECT_EQ(svc->requested(), requested);
 }
 
 // Heterogeneous step budgets: a finished pair must drop out of later
