@@ -89,7 +89,9 @@ struct MethodInfo {
   std::string name;
   MethodKind kind = MethodKind::AskTell;
   // AskTell only: build the optimizer for one seed (flattened dimension,
-  // per-seed RNG). Must be set for AskTell methods.
+  // per-seed RNG). Must be set for AskTell methods. The optimizers it
+  // returns must not share mutable state: the seeds' ask() and tell()
+  // calls run concurrently (rl::run_optimizer_lockstep).
   std::function<std::unique_ptr<opt::Optimizer>(int dim, Rng rng)>
       make_optimizer;
   // Ddpg only: apply the method's defaults on top of a task's base config

@@ -16,7 +16,10 @@ BayesOpt::BayesOpt(int dim, Rng rng, BayesOptOptions opt)
     : dim_(dim), rng_(rng), opt_(opt) {}
 
 double BayesOpt::expected_improvement(const std::vector<double>& x) const {
-  const GpPrediction p = gp_.predict(x);
+  return improvement(gp_.predict(x));
+}
+
+double BayesOpt::improvement(const GpPrediction& p) const {
   const double sd = std::sqrt(p.variance);
   if (sd < 1e-12) return 0.0;
   const double z = (p.mean - best_y_ - opt_.xi) / sd;
@@ -31,6 +34,8 @@ std::vector<std::vector<double>> BayesOpt::ask() {
   }
 
   // Random multi-start acquisition maximization.
+  const auto& best = xs_[std::distance(
+      ys_.begin(), std::max_element(ys_.begin(), ys_.end()))];
   std::vector<std::vector<double>> cands(opt_.acq_samples,
                                          std::vector<double>(dim_));
   for (auto& x : cands) {
@@ -39,16 +44,16 @@ std::vector<std::vector<double>> BayesOpt::ask() {
       for (auto& v : x) v = rng_.uniform(-1.0, 1.0);
     } else {
       // Local: Gaussian ball around the incumbent best.
-      const auto& best = xs_[std::distance(
-          ys_.begin(), std::max_element(ys_.begin(), ys_.end()))];
       for (int i = 0; i < dim_; ++i) {
         x[i] = std::clamp(best[i] + 0.2 * rng_.normal(), -1.0, 1.0);
       }
     }
   }
+  std::vector<GpPrediction> preds(cands.size());
+  gp_.predict_block(cands, preds);
   std::vector<double> acq(cands.size());
   for (std::size_t i = 0; i < cands.size(); ++i) {
-    acq[i] = expected_improvement(cands[i]);
+    acq[i] = improvement(preds[i]);
   }
   std::vector<int> order(cands.size());
   std::iota(order.begin(), order.end(), 0);

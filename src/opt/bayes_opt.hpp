@@ -5,6 +5,17 @@
 // by random multi-start plus local coordinate refinement. The O(N^3) fit
 // per iteration is intrinsic (the paper runtime-matches BO against the
 // cheaper methods for exactly this reason).
+//
+// Cost and memory. tell() refits the GP, whose only persistent O(N^2)
+// state is its packed Cholesky factor; the pairwise distances are computed
+// once per fit and the kernel once per grid lengthscale. ask() scores its
+// acq_samples random candidates with one GaussianProcess::predict_block
+// call (blocks of 32 candidates share one forward substitution); the
+// refinement steps depend on each other and score one point each. The
+// GP's scratch is exact-size and freed when each call returns, because
+// lockstep seeds fit and score at the same time on the eval pool
+// (rl::run_optimizer_lockstep) and per-object or per-thread buffers would
+// stay resident once per seed or worker.
 #pragma once
 
 #include "opt/gp.hpp"
@@ -34,6 +45,8 @@ class BayesOpt : public Optimizer {
       const std::vector<double>& x) const;
 
  private:
+  [[nodiscard]] double improvement(const GpPrediction& p) const;
+
   int dim_;
   Rng rng_;
   BayesOptOptions opt_;

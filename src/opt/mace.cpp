@@ -40,9 +40,11 @@ std::vector<std::vector<double>> Mace::ask() {
   struct Acq {
     double ei, pi, ucb;
   };
+  std::vector<GpPrediction> preds(pool.size());
+  gp_.predict_block(pool, preds);
   std::vector<Acq> acq(pool.size());
   for (std::size_t k = 0; k < pool.size(); ++k) {
-    const GpPrediction p = gp_.predict(pool[k]);
+    const GpPrediction& p = preds[k];
     const double sd = std::sqrt(p.variance);
     if (sd < 1e-12) {
       acq[k] = {0.0, 0.0, p.mean};

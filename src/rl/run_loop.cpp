@@ -1,6 +1,7 @@
 #include "rl/run_loop.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <unordered_set>
@@ -215,70 +216,76 @@ void run_optimizer_lockstep_group(std::span<const OptimizerPair> pairs,
   struct PairState {
     SimLedger ledger;
     std::vector<std::vector<double>> xs;  // this round's (truncated) ask()
+    std::vector<double> ys;               // their FoMs, told next round
     std::vector<la::Mat> mats;            // unflattened, alive for the batch
     bool done = false;
   };
   std::vector<PairState> state(members.size());
+  std::vector<std::size_t> active(members.size());  // slots, pair order
+  std::iota(active.begin(), active.end(), std::size_t{0});
   std::vector<env::EvalJob> jobs;
-  std::vector<std::size_t> asked;  // slots into `members`, pair order
-  for (;;) {
-    // Ask phase, pair order: every still-active optimizer proposes its
-    // population, truncated exactly as serial run_optimizer would; an
-    // exhausted pair drops out of the round instead of padding the batch.
-    jobs.clear();
-    asked.clear();
-    for (std::size_t k = 0; k < members.size(); ++k) {
+  while (!active.empty()) {
+    // Ask/tell phase: ask/tell is sequential within a pair but the pairs
+    // are independent and share no mutable state, so each active pair runs
+    // one task on the service's workers: tell() of last round's results,
+    // the budget check, ask() truncated exactly as serial run_optimizer
+    // would, and the unflatten. A pair whose budget is exhausted or whose
+    // ask() comes back empty drops out instead of padding the batch.
+    svc.parallel_for(active.size(), [&](std::size_t j) {
+      const std::size_t k = active[j];
       PairState& st = state[k];
-      if (st.done) continue;
       const OptimizerPair& p = pairs[members[k]];
-      RunResult& res = out[members[k]];
+      const RunResult& res = out[members[k]];
+      if (!st.ys.empty()) {
+        p.opt->tell(st.xs, st.ys);
+        st.ys.clear();
+      }
+      st.mats.clear();
       if (res.evals >= p.steps ||
           (p.max_sims >= 0 && res.sims >= p.max_sims)) {
         st.done = true;
-        continue;
+        return;
       }
       st.xs = p.opt->ask();
       if (st.xs.empty()) {
         st.done = true;
-        continue;
+        return;
       }
       std::size_t room = static_cast<std::size_t>(p.steps - res.evals);
       if (p.max_sims >= 0) {
         room = std::min(room, static_cast<std::size_t>(p.max_sims - res.sims));
       }
       if (st.xs.size() > room) st.xs.resize(room);
-      st.mats.clear();
       st.mats.reserve(st.xs.size());
       for (const auto& x : st.xs) {
         st.mats.push_back(p.env->bench().space.unflatten(x));
       }
-      for (const la::Mat& m : st.mats) {
-        jobs.push_back(env::EvalJob{&p.env->bench(), &m,
-                                    p.env->eval_attr()});
-      }
-      asked.push_back(k);
-    }
-    if (jobs.empty()) break;
-    // One merged multi-circuit batch: all populations of the round for the
-    // thread pool at once.
-    const std::vector<env::EvalResult> results = svc.eval_batch_multi(jobs);
-    // Tell phase, pair order: commits and tell() are strictly per-pair, so
-    // sequencing them preserves serial run_optimizer semantics.
-    std::size_t offset = 0;
-    for (const std::size_t k : asked) {
-      PairState& st = state[k];
+    });
+    std::erase_if(active, [&](std::size_t k) { return state[k].done; });
+    if (active.empty()) break;
+    // One merged multi-circuit batch, pair order: all populations of the
+    // round for the thread pool at once.
+    jobs.clear();
+    for (const std::size_t k : active) {
       const OptimizerPair& p = pairs[members[k]];
+      for (const la::Mat& m : state[k].mats) {
+        jobs.push_back(env::EvalJob{&p.env->bench(), &m, p.env->eval_attr()});
+      }
+    }
+    const std::vector<env::EvalResult> results = svc.eval_batch_multi(jobs);
+    // Ledger charges and commits, pair order; tell() follows next round.
+    std::size_t offset = 0;
+    for (const std::size_t k : active) {
+      PairState& st = state[k];
       RunResult& res = out[members[k]];
-      const circuit::DesignSpace& space = p.env->bench().space;
-      std::vector<double> ys;
-      ys.reserve(st.xs.size());
+      const circuit::DesignSpace& space = pairs[members[k]].env->bench().space;
+      st.ys.reserve(st.xs.size());
       for (std::size_t i = 0; i < st.xs.size(); ++i) {
         const env::EvalResult& r = results[offset + i];
-        ys.push_back(r.fom);
+        st.ys.push_back(r.fom);
         res.sims += st.ledger.charge(space, r.params);
         res.commit_flat(space, st.xs[i], r);
       }
-      p.opt->tell(st.xs, ys);
       offset += st.xs.size();
     }
   }
@@ -291,11 +298,16 @@ std::vector<RunResult> run_optimizer_lockstep(
   std::vector<RunResult> out(pairs.size());
   if (pairs.empty()) return out;
   std::vector<env::SizingEnv*> envs;
+  std::set<const opt::Optimizer*> opts;
   envs.reserve(pairs.size());
   for (const OptimizerPair& p : pairs) {
     if (p.env == nullptr || p.opt == nullptr) {
       throw std::invalid_argument(
           "run_optimizer_lockstep: every pair needs an env and an optimizer");
+    }
+    if (!opts.insert(p.opt).second) {
+      throw std::invalid_argument(
+          "run_optimizer_lockstep: an optimizer appears in more than one pair");
     }
     envs.push_back(p.env);
   }

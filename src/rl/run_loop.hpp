@@ -109,19 +109,29 @@ struct OptimizerPair {
   long max_sims = -1;
 };
 
-// Lockstep multi-seed black-box driver, mirroring run_ddpg_lockstep: per
-// round, every still-active optimizer's ask() population (truncated to its
-// remaining budget) is merged into one multi-circuit batch on the pairs'
-// shared EvalService, then results are committed and tell() runs
-// sequentially in pair order. Ask/tell is sequential within a pair, but
-// the pairs are independent, so the thread pool finally parallelizes
-// black-box seed sweeps ACROSS seeds, not just within one population.
+// Lockstep multi-seed black-box driver, mirroring run_ddpg_lockstep. Each
+// round, every still-active pair runs one task on the pairs' shared
+// EvalService (EvalService::parallel_for): tell() of its previous round's
+// results, the budget check, then ask(), truncated to the remaining
+// budget. Then, in pair order, the populations are merged into one
+// multi-circuit batch and the sim charges and commits follow. Ask/tell is
+// sequential within a pair, but the pairs are independent, so both the
+// evaluations and the optimizers' own work (a BO/MACE seed's GP fit and
+// acquisition, a CMA-ES update) run across seeds on the thread pool.
 // A pair drops out once its evaluation or simulated-cost budget is
 // exhausted or its ask() comes back empty. Pairs on different services
 // are grouped and the groups run back-to-back. Per-pair best_trace/sims
 // are bit-identical to serial run_optimizer at any GCNRL_EVAL_THREADS
-// (FoM values never depend on cache state, and each optimizer sees the
-// identical ask/tell sequence).
+// (FoM values never depend on cache state, each optimizer sees the
+// identical ask/tell sequence, and the batches hold the same jobs in the
+// same order).
+//
+// Paired optimizers must not share mutable state, since their ask() and
+// tell() calls run at the same time. Throws std::invalid_argument when a
+// pair lacks an env or optimizer, or when one optimizer appears in more
+// than one pair. An exception from ask() or tell() reaches the caller
+// after the round's other tasks finish; when several pairs throw in one
+// round, the lowest pair index wins.
 std::vector<RunResult> run_optimizer_lockstep(
     std::span<const OptimizerPair> pairs);
 

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -21,7 +22,9 @@
 #include "circuits/benchmark_circuits.hpp"
 #include "env/eval_service.hpp"
 #include "env/sizing_env.hpp"
+#include "opt/bayes_opt.hpp"
 #include "opt/cma_es.hpp"
+#include "opt/mace.hpp"
 #include "rl/ddpg.hpp"
 #include "rl/run_loop.hpp"
 #include "sim/mna.hpp"
@@ -926,51 +929,75 @@ TEST(RunOptimizer, SimChargeIsIndependentOfSharedCacheWarmth) {
 
 namespace {
 
+using OptimizerFactory =
+    std::function<std::unique_ptr<gcnrl::opt::Optimizer>(int, Rng)>;
+
+std::unique_ptr<gcnrl::opt::Optimizer> make_cmaes(int dim, Rng rng) {
+  return std::make_unique<gcnrl::opt::CmaEs>(dim, rng);
+}
+std::unique_ptr<gcnrl::opt::Optimizer> make_bayes_opt(int dim, Rng rng) {
+  return std::make_unique<gcnrl::opt::BayesOpt>(dim, rng);
+}
+std::unique_ptr<gcnrl::opt::Optimizer> make_mace(int dim, Rng rng) {
+  return std::make_unique<gcnrl::opt::Mace>(dim, rng);
+}
+
 // Serial reference for the lockstep black-box driver: one run_optimizer
-// per seed, each on its own private env/service.
-std::vector<gcnrl::rl::RunResult> serial_cmaes_runs(
-    const std::vector<std::uint64_t>& seeds, int steps, long max_sims) {
-  std::vector<gcnrl::rl::RunResult> out;
+// per seed, each on its own private env/service. The optimizers are kept
+// so callers can compare their state after the run.
+struct SerialRuns {
+  std::vector<gcnrl::rl::RunResult> results;
+  std::vector<std::unique_ptr<gcnrl::opt::Optimizer>> opts;
+};
+
+SerialRuns serial_runs(const OptimizerFactory& make,
+                       const std::vector<std::uint64_t>& seeds, int steps,
+                       long max_sims) {
+  SerialRuns out;
   for (const std::uint64_t seed : seeds) {
     env::SizingEnv e(make_synthetic(), env::IndexMode::OneHot,
                      config(1, 256));
-    gcnrl::opt::CmaEs es(e.flat_dim(), Rng(seed));
-    out.push_back(gcnrl::rl::run_optimizer(e, es, steps, max_sims));
+    out.opts.push_back(make(e.flat_dim(), Rng(seed)));
+    out.results.push_back(
+        gcnrl::rl::run_optimizer(e, *out.opts.back(), steps, max_sims));
   }
   return out;
 }
 
-void expect_optimizer_lockstep_matches_serial(int threads) {
+void expect_optimizer_lockstep_matches_serial(const OptimizerFactory& make,
+                                              int steps, int threads) {
   const std::vector<std::uint64_t> seeds = {1000, 8919, 16838};
-  const int steps = 100;
-  const auto serial = serial_cmaes_runs(seeds, steps, -1);
+  const SerialRuns serial = serial_runs(make, seeds, steps, -1);
 
   const auto svc = std::make_shared<env::EvalService>(config(threads, 256));
   std::vector<std::unique_ptr<env::SizingEnv>> envs;
-  std::vector<std::unique_ptr<gcnrl::opt::CmaEs>> opts;
+  std::vector<std::unique_ptr<gcnrl::opt::Optimizer>> opts;
   std::vector<gcnrl::rl::OptimizerPair> pairs;
   for (const std::uint64_t seed : seeds) {
     envs.push_back(std::make_unique<env::SizingEnv>(
         make_synthetic(), env::IndexMode::OneHot, svc));
-    opts.push_back(std::make_unique<gcnrl::opt::CmaEs>(
-        envs.back()->flat_dim(), Rng(seed)));
+    opts.push_back(make(envs.back()->flat_dim(), Rng(seed)));
     pairs.push_back(gcnrl::rl::OptimizerPair{envs.back().get(),
                                              opts.back().get(), steps, -1});
   }
   const auto lockstep = gcnrl::rl::run_optimizer_lockstep(pairs);
 
-  ASSERT_EQ(lockstep.size(), serial.size());
+  ASSERT_EQ(lockstep.size(), serial.results.size());
   for (std::size_t s = 0; s < seeds.size(); ++s) {
-    ASSERT_EQ(lockstep[s].best_trace.size(), serial[s].best_trace.size());
-    for (std::size_t i = 0; i < serial[s].best_trace.size(); ++i) {
+    const gcnrl::rl::RunResult& want = serial.results[s];
+    ASSERT_EQ(lockstep[s].best_trace.size(), want.best_trace.size());
+    for (std::size_t i = 0; i < want.best_trace.size(); ++i) {
       // Bit-identical, not just close: exact double equality.
-      EXPECT_EQ(lockstep[s].best_trace[i], serial[s].best_trace[i])
+      EXPECT_EQ(lockstep[s].best_trace[i], want.best_trace[i])
           << "seed " << seeds[s] << " eval " << i;
     }
-    EXPECT_EQ(lockstep[s].best_fom, serial[s].best_fom);
-    EXPECT_EQ(lockstep[s].best_metrics, serial[s].best_metrics);
-    EXPECT_EQ(lockstep[s].evals, serial[s].evals);
-    EXPECT_EQ(lockstep[s].sims, serial[s].sims);
+    EXPECT_EQ(lockstep[s].best_fom, want.best_fom);
+    EXPECT_EQ(lockstep[s].best_metrics, want.best_metrics);
+    EXPECT_EQ(lockstep[s].evals, want.evals);
+    EXPECT_EQ(lockstep[s].sims, want.sims);
+    // The last round's tell() ran too: the next proposal, which depends on
+    // every observation, matches the serial optimizer's.
+    EXPECT_EQ(opts[s]->ask(), serial.opts[s]->ask()) << "seed " << seeds[s];
   }
 }
 
@@ -978,13 +1005,33 @@ void expect_optimizer_lockstep_matches_serial(int threads) {
 
 // The acceptance criterion of the lockstep black-box driver: per-seed
 // traces and charged simulated costs bit-identical to serial
-// run_optimizer, at 1 and at 4 eval threads.
+// run_optimizer, at 1 and at 4 eval threads. The BO and MACE budgets run
+// well past their 10 warm-up points, so the seeds' GP fits and
+// acquisitions run concurrently at 4 threads.
 TEST(OptimizerLockstep, CmaEsTracesMatchSerialAtOneThread) {
-  expect_optimizer_lockstep_matches_serial(1);
+  expect_optimizer_lockstep_matches_serial(make_cmaes, 100, 1);
 }
 
 TEST(OptimizerLockstep, CmaEsTracesMatchSerialAtFourThreads) {
-  expect_optimizer_lockstep_matches_serial(4);
+  expect_optimizer_lockstep_matches_serial(make_cmaes, 100, 4);
+}
+
+TEST(OptimizerLockstep, BayesOptTracesMatchSerialAtOneThread) {
+  expect_optimizer_lockstep_matches_serial(make_bayes_opt, 24, 1);
+}
+
+TEST(OptimizerLockstep, BayesOptTracesMatchSerialAtFourThreads) {
+  expect_optimizer_lockstep_matches_serial(make_bayes_opt, 24, 4);
+}
+
+// 30 steps: three warm-up batches of 4, four GP batches, then a GP batch
+// truncated to the 2 evaluations left.
+TEST(OptimizerLockstep, MaceTracesMatchSerialAtOneThread) {
+  expect_optimizer_lockstep_matches_serial(make_mace, 30, 1);
+}
+
+TEST(OptimizerLockstep, MaceTracesMatchSerialAtFourThreads) {
+  expect_optimizer_lockstep_matches_serial(make_mace, 30, 4);
 }
 
 // Heterogeneous simulated-cost budgets: an exhausted pair drops out of
@@ -1013,7 +1060,8 @@ TEST(OptimizerLockstep, ExhaustedPairsDropOutAndSimsShrink) {
   for (std::size_t s = 0; s < seeds.size(); ++s) {
     EXPECT_EQ(runs[s].sims, budgets[s]);
     sum_evals += runs[s].evals;
-    const auto serial = serial_cmaes_runs({seeds[s]}, steps, budgets[s]);
+    const auto serial =
+        serial_runs(make_cmaes, {seeds[s]}, steps, budgets[s]).results;
     ASSERT_EQ(runs[s].best_trace.size(), serial[0].best_trace.size());
     for (std::size_t i = 0; i < serial[0].best_trace.size(); ++i) {
       EXPECT_EQ(runs[s].best_trace[i], serial[0].best_trace[i])
@@ -1026,6 +1074,96 @@ TEST(OptimizerLockstep, ExhaustedPairsDropOutAndSimsShrink) {
   // no batches with extra simulations.
   EXPECT_EQ(svc->sims(), sum_evals);
   EXPECT_EQ(svc->requested(), sum_evals);
+}
+
+namespace {
+
+// Proposes one uniform point per ask(), counts its calls, and throws from
+// its `throw_at`-th tell() (1-based; 0 never throws).
+class CountingOptimizer final : public gcnrl::opt::Optimizer {
+ public:
+  CountingOptimizer(int dim, std::uint64_t seed, int throw_at = 0)
+      : dim_(dim), rng_(seed), throw_at_(throw_at), seed_(seed) {}
+  std::vector<std::vector<double>> ask() override {
+    ++asks;
+    std::vector<double> x(static_cast<std::size_t>(dim_));
+    for (auto& v : x) v = rng_.uniform(-1.0, 1.0);
+    return {x};
+  }
+  void tell(const std::vector<std::vector<double>>&,
+            const std::vector<double>&) override {
+    if (++tells == throw_at_) {
+      throw std::runtime_error("tell of optimizer " + std::to_string(seed_));
+    }
+  }
+  [[nodiscard]] int dim() const override { return dim_; }
+
+  int asks = 0;
+  int tells = 0;
+
+ private:
+  int dim_;
+  Rng rng_;
+  int throw_at_;
+  std::uint64_t seed_;
+};
+
+}  // namespace
+
+// One optimizer in two pairs would have its ask()/tell() run concurrently
+// with itself: rejected up front, before any ask or evaluation.
+TEST(Lockstep, RejectsDuplicateOptimizers) {
+  const auto svc = std::make_shared<env::EvalService>(config(4, 16));
+  env::SizingEnv a(make_synthetic(), env::IndexMode::OneHot, svc);
+  env::SizingEnv b(make_synthetic(), env::IndexMode::OneHot, svc);
+  env::SizingEnv c(make_synthetic(), env::IndexMode::OneHot, svc);
+  CountingOptimizer shared(a.flat_dim(), 1);
+  CountingOptimizer other(a.flat_dim(), 2);
+  const std::vector<gcnrl::rl::OptimizerPair> pairs = {
+      {&a, &shared, 3, -1}, {&b, &other, 3, -1}, {&c, &shared, 3, -1}};
+  const long requested = svc->requested();
+  EXPECT_THROW(gcnrl::rl::run_optimizer_lockstep(pairs),
+               std::invalid_argument);
+  EXPECT_EQ(shared.asks, 0);
+  EXPECT_EQ(other.asks, 0);
+  EXPECT_EQ(svc->requested(), requested);
+}
+
+// A tell() that throws reaches the caller only after the round's other
+// tasks finished, and of two throwing pairs the lower index wins — at 1
+// and at 4 eval threads alike.
+TEST(OptimizerLockstep, TellErrorSurfacesAfterTheRoundLowestPairWins) {
+  for (const int threads : {1, 4}) {
+    const auto svc = std::make_shared<env::EvalService>(config(threads, 64));
+    std::vector<std::unique_ptr<env::SizingEnv>> envs;
+    std::vector<std::unique_ptr<CountingOptimizer>> opts;
+    std::vector<gcnrl::rl::OptimizerPair> pairs;
+    // Pairs 1 and 3 throw from their second tell(), in round 3.
+    for (const int throw_at : {0, 2, 0, 2}) {
+      envs.push_back(std::make_unique<env::SizingEnv>(
+          make_synthetic(), env::IndexMode::OneHot, svc));
+      opts.push_back(std::make_unique<CountingOptimizer>(
+          envs.back()->flat_dim(), opts.size(), throw_at));
+      pairs.push_back(gcnrl::rl::OptimizerPair{envs.back().get(),
+                                               opts.back().get(), 10, -1});
+    }
+    try {
+      (void)gcnrl::rl::run_optimizer_lockstep(pairs);
+      ADD_FAILURE() << "threads " << threads << ": no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "tell of optimizer 1") << "threads " << threads;
+    }
+    for (const std::size_t k : {std::size_t{0}, std::size_t{2}}) {
+      EXPECT_EQ(opts[k]->tells, 2) << "threads " << threads << " pair " << k;
+      EXPECT_EQ(opts[k]->asks, 3) << "threads " << threads << " pair " << k;
+    }
+    for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
+      EXPECT_EQ(opts[k]->tells, 2) << "threads " << threads << " pair " << k;
+      EXPECT_EQ(opts[k]->asks, 2) << "threads " << threads << " pair " << k;
+    }
+    // Two rounds of four evaluations; the failed round submitted no batch.
+    EXPECT_EQ(svc->requested(), 8) << "threads " << threads;
+  }
 }
 
 // --- real circuit through the thread pool (TSan coverage) ----------------

@@ -3,14 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
+#include "la/cholesky.hpp"
+#include "la/matrix.hpp"
 #include "opt/bayes_opt.hpp"
 #include "opt/cma_es.hpp"
 #include "opt/mace.hpp"
 #include "opt/random_search.hpp"
 
+namespace la = gcnrl::la;
 namespace opt = gcnrl::opt;
 using gcnrl::Rng;
 
@@ -145,6 +153,299 @@ TEST(Gp, PredictionTracksSmoothFunction) {
                        std::fabs(gp.predict({xi}).mean - std::sin(3.0 * xi)));
   }
   EXPECT_LT(max_err, 0.15);
+}
+
+namespace {
+
+// Bitwise reference for the packed GP: the textbook dense formulation, an
+// n x n la::Mat kernel recomputed for each of the 15 grid points and the
+// final build, a row-by-row Cholesky into a second n x n matrix, and a
+// per-point predict with a single-vector forward substitution.
+class DenseCholesky {
+ public:
+  explicit DenseCholesky(const la::Mat& a) : l_(a.rows(), a.rows()) {
+    const int n = a.rows();
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j <= i; ++j) {
+        double sum = a(i, j);
+        for (int k = 0; k < j; ++k) sum -= l_(i, k) * l_(j, k);
+        if (i == j) {
+          if (sum <= 0.0 || !std::isfinite(sum)) {
+            throw la::NotPositiveDefiniteError{};
+          }
+          l_(i, i) = std::sqrt(sum);
+        } else {
+          l_(i, j) = sum / l_(j, j);
+        }
+      }
+    }
+  }
+  std::vector<double> solve_lower(const std::vector<double>& b) const {
+    const int n = l_.rows();
+    std::vector<double> y(b);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < i; ++j) y[i] -= l_(i, j) * y[j];
+      y[i] /= l_(i, i);
+    }
+    return y;
+  }
+  std::vector<double> solve(const std::vector<double>& b) const {
+    const int n = l_.rows();
+    std::vector<double> y = solve_lower(b);
+    for (int i = n - 1; i >= 0; --i) {
+      for (int j = i + 1; j < n; ++j) y[i] -= l_(j, i) * y[j];
+      y[i] /= l_(i, i);
+    }
+    return y;
+  }
+  double log_det() const {
+    double acc = 0.0;
+    for (int i = 0; i < l_.rows(); ++i) acc += std::log(l_(i, i));
+    return 2.0 * acc;
+  }
+  const la::Mat& lower() const { return l_; }
+
+ private:
+  la::Mat l_;
+};
+
+double ref_sq_dist(const std::vector<double>& a, const std::vector<double>& b) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d = a[i] - b[i];
+    acc += d * d;
+  }
+  return acc;
+}
+
+double ref_matern52(double r, double ls) {
+  const double s = std::sqrt(5.0) * r / ls;
+  return (1.0 + s + s * s / 3.0) * std::exp(-s);
+}
+
+class DenseGp {
+ public:
+  void fit(const std::vector<std::vector<double>>& x,
+           const std::vector<double>& y) {
+    x_ = x;
+    const int n = static_cast<int>(y.size());
+    y_mean_ = 0.0;
+    for (double v : y) y_mean_ += v;
+    y_mean_ /= n;
+    double var = 0.0;
+    for (double v : y) var += (v - y_mean_) * (v - y_mean_);
+    y_std_ = n > 1 ? std::sqrt(var / (n - 1)) : 1.0;
+    if (y_std_ < 1e-12) y_std_ = 1.0;
+    y_.resize(n);
+    for (int i = 0; i < n; ++i) y_[i] = (y[i] - y_mean_) / y_std_;
+    std::vector<double> dists;
+    const int cap = std::min(n, 64);
+    for (int i = 0; i < cap; ++i) {
+      for (int j = i + 1; j < cap; ++j) {
+        dists.push_back(std::sqrt(ref_sq_dist(x_[i], x_[j])));
+      }
+    }
+    double ls0 = 1.0;
+    if (!dists.empty()) {
+      std::nth_element(dists.begin(), dists.begin() + dists.size() / 2,
+                       dists.end());
+      ls0 = std::max(dists[dists.size() / 2], 1e-3);
+    }
+    double best_ll = -std::numeric_limits<double>::infinity();
+    double best_ls = ls0, best_noise = 1e-4;
+    for (double ls_mul : {0.33, 0.66, 1.0, 2.0, 4.0}) {
+      for (double noise : {1e-6, 1e-4, 1e-2}) {
+        const double ll = log_marginal(ls0 * ls_mul, noise);
+        if (ll > best_ll) {
+          best_ll = ll;
+          best_ls = ls0 * ls_mul;
+          best_noise = noise;
+        }
+      }
+    }
+    lengthscale_ = best_ls;
+    noise_ = best_noise;
+    chol_ = std::make_unique<DenseCholesky>(kernel_matrix(best_ls, best_noise));
+    alpha_ = chol_->solve(y_);
+  }
+
+  opt::GpPrediction predict(const std::vector<double>& x) const {
+    const int n = static_cast<int>(x_.size());
+    std::vector<double> kx(n);
+    for (int i = 0; i < n; ++i) kx[i] = kernel(x_[i], x);
+    double mu = 0.0;
+    for (int i = 0; i < n; ++i) mu += kx[i] * alpha_[i];
+    const auto v = chol_->solve_lower(kx);
+    double reduction = 0.0;
+    for (double vi : v) reduction += vi * vi;
+    const double var = std::max(kernel(x, x) - reduction, 1e-12);
+    return {y_mean_ + y_std_ * mu, y_std_ * y_std_ * var};
+  }
+
+  double lengthscale() const { return lengthscale_; }
+  double noise() const { return noise_; }
+
+ private:
+  double kernel(const std::vector<double>& a,
+                const std::vector<double>& b) const {
+    return 1.0 * ref_matern52(std::sqrt(ref_sq_dist(a, b)), lengthscale_);
+  }
+  la::Mat kernel_matrix(double ls, double noise) const {
+    const int n = static_cast<int>(x_.size());
+    la::Mat k(n, n);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j <= i; ++j) {
+        const double v =
+            1.0 * ref_matern52(std::sqrt(ref_sq_dist(x_[i], x_[j])), ls);
+        k(i, j) = v;
+        k(j, i) = v;
+      }
+      k(i, i) += noise + 1e-8;
+    }
+    return k;
+  }
+  double log_marginal(double ls, double noise) const {
+    const int n = static_cast<int>(x_.size());
+    try {
+      DenseCholesky chol(kernel_matrix(ls, noise));
+      const auto a = chol.solve(y_);
+      double fit = 0.0;
+      for (int i = 0; i < n; ++i) fit += y_[i] * a[i];
+      return -0.5 * fit - 0.5 * chol.log_det() -
+             0.5 * n * std::log(2.0 * M_PI);
+    } catch (const la::NotPositiveDefiniteError&) {
+      return -std::numeric_limits<double>::infinity();
+    }
+  }
+
+  std::vector<std::vector<double>> x_;
+  std::vector<double> y_;
+  double y_mean_ = 0.0;
+  double y_std_ = 1.0;
+  double lengthscale_ = 1.0;
+  double noise_ = 1e-4;
+  std::vector<double> alpha_;
+  std::unique_ptr<DenseCholesky> chol_;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+std::vector<double> packed_lower(const la::Mat& a) {
+  std::vector<double> p;
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j <= i; ++j) p.push_back(a(i, j));
+  }
+  return p;
+}
+
+std::vector<std::vector<double>> random_points(int n, int dim, Rng& rng) {
+  std::vector<std::vector<double>> x(n, std::vector<double>(dim));
+  for (auto& p : x) {
+    for (auto& v : p) v = rng.uniform(-1.0, 1.0);
+  }
+  return x;
+}
+
+}  // namespace
+
+// The packed factor must equal the row-by-row one bit for bit on every
+// order whose rows end in each remainder of the 4-wide pass, and the
+// solves and log-determinant built on it must follow.
+TEST(GpReference, PackedCholeskyMatchesRowByRowBitwise) {
+  Rng rng(41);
+  for (int n = 1; n <= 13; ++n) {
+    la::Mat g(n, n);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) g(i, j) = rng.uniform(-1.0, 1.0);
+    }
+    la::Mat a = la::matmul_nt(g, g);
+    for (int i = 0; i < n; ++i) a(i, i) += 0.1;
+    std::vector<double> packed = packed_lower(a);
+    const DenseCholesky ref(a);
+    la::cholesky_factor(packed, n);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j <= i; ++j) {
+        EXPECT_EQ(bits(packed[la::packed_index(i, j)]),
+                  bits(ref.lower()(i, j)))
+            << "n " << n << " L(" << i << ", " << j << ")";
+      }
+    }
+    std::vector<double> b(n);
+    for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+    const std::vector<double> want = ref.solve(b);
+    la::cholesky_solve(packed, b);
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(bits(b[i]), bits(want[i])) << "n " << n << " x[" << i << "]";
+    }
+    EXPECT_EQ(bits(la::cholesky_log_det(packed, n)), bits(ref.log_det()))
+        << "n " << n;
+  }
+  // Indefinite: a 7x7 identity with a 2x2 block of eigenvalues 3 and -1
+  // in rows 5-6, past the first 4-wide pass.
+  la::Mat bad = la::Mat::identity(7);
+  bad(5, 5) = 1.0;
+  bad(6, 6) = 1.0;
+  bad(5, 6) = bad(6, 5) = 2.0;
+  std::vector<double> packed = packed_lower(bad);
+  EXPECT_THROW(DenseCholesky{bad}, la::NotPositiveDefiniteError);
+  EXPECT_THROW(la::cholesky_factor(packed, 7), la::NotPositiveDefiniteError);
+}
+
+// The packed GP (distances once, kernel once per lengthscale, block
+// prediction) must reproduce the dense GP exactly: the same fitted
+// hyperparameters and bit-identical posteriors, through predict_block on
+// candidate counts that end in a partial block and through predict.
+TEST(GpReference, PackedGpMatchesDenseGpBitwise) {
+  Rng rng(42);
+  for (const int dim : {1, 23}) {
+    for (const int n : {1, 2, 5, 31, 33, 64, 130}) {
+      auto x = random_points(n, dim, rng);
+      // Repeat a few points so some kernel matrices are near singular.
+      if (n > 4) x[n - 1] = x[0];
+      if (n > 8) x[n / 2] = x[1];
+      std::vector<double> y;
+      for (const auto& p : x) y.push_back(std::sin(3.0 * p[0]) + 0.1 * p.back());
+      DenseGp ref;
+      ref.fit(x, y);
+      opt::GaussianProcess gp;
+      gp.fit(x, y);
+      EXPECT_EQ(bits(gp.lengthscale()), bits(ref.lengthscale()))
+          << "dim " << dim << " n " << n;
+      EXPECT_EQ(bits(gp.noise()), bits(ref.noise()))
+          << "dim " << dim << " n " << n;
+      // 77 = 2 full blocks + 13; training points among the candidates.
+      auto cands = random_points(77, dim, rng);
+      cands[5] = x[0];
+      std::vector<opt::GpPrediction> got(cands.size());
+      gp.predict_block(cands, got);
+      for (std::size_t c = 0; c < cands.size(); ++c) {
+        const opt::GpPrediction want = ref.predict(cands[c]);
+        const opt::GpPrediction one = gp.predict(cands[c]);
+        EXPECT_EQ(bits(got[c].mean), bits(want.mean))
+            << "dim " << dim << " n " << n << " candidate " << c;
+        EXPECT_EQ(bits(got[c].variance), bits(want.variance))
+            << "dim " << dim << " n " << n << " candidate " << c;
+        EXPECT_EQ(bits(one.mean), bits(want.mean));
+        EXPECT_EQ(bits(one.variance), bits(want.variance));
+      }
+    }
+  }
+}
+
+// No SPD grid point: the fit falls back to (ls0, 1e-4), which throws the
+// same error the dense GP throws, and leaves the GP unfitted.
+TEST(GpReference, FitWithoutSpdGridPointThrowsLikeDenseGp) {
+  const std::vector<std::vector<double>> x = {
+      {0.0}, {std::numeric_limits<double>::infinity()}};
+  const std::vector<double> y = {1.0, 2.0};
+  DenseGp ref;
+  EXPECT_THROW(ref.fit(x, y), la::NotPositiveDefiniteError);
+  opt::GaussianProcess gp;
+  gp.fit({{0.0}, {1.0}}, y);
+  ASSERT_TRUE(gp.fitted());
+  EXPECT_THROW(gp.fit(x, y), la::NotPositiveDefiniteError);
+  EXPECT_FALSE(gp.fitted());
+  EXPECT_THROW((void)gp.predict({0.5}), std::runtime_error);
 }
 
 TEST(BayesOpt, BeatsRandomOnMultimodal1d) {
