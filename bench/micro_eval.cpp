@@ -132,6 +132,11 @@ void BM_SingleEval_PerAnalysis(benchmark::State& state, const char* name) {
   c["dc_iters_per_eval"] = static_cast<double>(p.dc.items) * inv;
   c["ac_points_per_eval"] = static_cast<double>(p.ac.items) * inv;
   c["tran_steps_per_eval"] = static_cast<double>(p.tran.items) * inv;
+  // Share of transient steps copied from a settled cycle, not solved.
+  c["tran_replayed_frac"] =
+      p.tran.items > 0 ? static_cast<double>(p.tran.replayed) /
+                             static_cast<double>(p.tran.items)
+                       : 0.0;
   c["warm_hit_rate"] =
       p.dc.calls > 0
           ? static_cast<double>(p.dc.warm_hits) /

@@ -9,14 +9,6 @@ namespace {
 constexpr double kBoltzmannT = 1.380649e-23 * 300.0;  // kT at 300 K
 constexpr double kVtSub = 0.045;  // subthreshold smoothing voltage [V]
 
-// Numerically-stable softplus: kVtSub * ln(1 + exp(x / kVtSub)).
-double softplus(double x) {
-  const double z = x / kVtSub;
-  if (z > 30.0) return x;
-  if (z < -30.0) return kVtSub * std::exp(z);
-  return kVtSub * std::log1p(std::exp(z));
-}
-
 // Current and its two partial derivatives from one model evaluation.
 struct IdGrad {
   double id = 0.0;
@@ -140,7 +132,6 @@ MosOp eval_mos(const MosModel& m, const circuit::Mosfet& geom, double vg,
   op.id = sign * g.id;
   op.gm = g.dvgs;
   op.gds = g.dvds;
-  op.vov = softplus((vg_i - vs_i) - m.vth0);
   // Note: gm is negative w.r.t. the labeled gate terminal when the device
   // operates drain/source-reversed (vds < 0 internally). Do NOT clamp —
   // Newton needs the Jacobian consistent with the residual precisely in

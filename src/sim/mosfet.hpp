@@ -37,7 +37,6 @@ struct MosOp {
   double id = 0.0;   // drain current (terminal convention above) [A]
   double gm = 0.0;   // d id / d vgs [S]
   double gds = 0.0;  // d id / d vds [S]
-  double vov = 0.0;  // effective overdrive [V] (diagnostic)
 };
 
 // Terminal-voltage evaluation with derivatives (derivatives are exact

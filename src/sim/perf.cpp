@@ -14,6 +14,7 @@ struct AtomicPerf {
   std::atomic<long> warm_hits{0};
   std::atomic<long> warm_fallbacks{0};
   std::atomic<long> sparse_fallbacks{0};
+  std::atomic<long> replayed{0};
   std::atomic<long> nanos{0};
   std::atomic<long> assembly_nanos{0};
   std::atomic<long> factor_nanos{0};
@@ -25,6 +26,7 @@ struct AtomicPerf {
     out.warm_hits = warm_hits.load(std::memory_order_relaxed);
     out.warm_fallbacks = warm_fallbacks.load(std::memory_order_relaxed);
     out.sparse_fallbacks = sparse_fallbacks.load(std::memory_order_relaxed);
+    out.replayed = replayed.load(std::memory_order_relaxed);
     out.seconds = static_cast<double>(nanos.load(std::memory_order_relaxed)) *
                   1e-9;
     out.phase.assembly =
@@ -43,6 +45,7 @@ struct AtomicPerf {
     warm_hits.store(0, std::memory_order_relaxed);
     warm_fallbacks.store(0, std::memory_order_relaxed);
     sparse_fallbacks.store(0, std::memory_order_relaxed);
+    replayed.store(0, std::memory_order_relaxed);
     nanos.store(0, std::memory_order_relaxed);
     assembly_nanos.store(0, std::memory_order_relaxed);
     factor_nanos.store(0, std::memory_order_relaxed);
@@ -60,7 +63,7 @@ AtomicPerf& slot(Analysis which) {
 
 void sim_perf_record(Analysis which, long items, double seconds,
                      long warm_hits, long warm_fallbacks,
-                     const PhaseSeconds* phases) {
+                     const PhaseSeconds* phases, long replayed) {
   AtomicPerf& p = slot(which);
   p.calls.fetch_add(1, std::memory_order_relaxed);
   p.items.fetch_add(items, std::memory_order_relaxed);
@@ -68,6 +71,7 @@ void sim_perf_record(Analysis which, long items, double seconds,
   if (warm_fallbacks) {
     p.warm_fallbacks.fetch_add(warm_fallbacks, std::memory_order_relaxed);
   }
+  if (replayed) p.replayed.fetch_add(replayed, std::memory_order_relaxed);
   p.nanos.fetch_add(static_cast<long>(seconds * 1e9),
                     std::memory_order_relaxed);
   if (phases) {

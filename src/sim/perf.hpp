@@ -7,9 +7,11 @@
 // later PRs can track a per-analysis perf trajectory instead of a single
 // evals/sec number.
 //
-// The counters are process-global atomics: recording happens once per
-// analysis call (never per Newton iteration), so the hot-path overhead is
-// two clock reads and a handful of relaxed atomic adds per solve. Wall
+// The counters are process-global atomics, updated once per analysis call
+// (never per Newton iteration) with a handful of relaxed atomic adds. The
+// phase split costs more: DC and transient read the clock four times per
+// Newton iteration, the dense AC and noise sweeps four times per frequency
+// point, the sparse ones three times per block of frequency points. Wall
 // time feeds reporting only — it is never part of a result, a budget, or
 // a cache key, so the determinism contracts of the evaluation engine are
 // untouched. Snapshots are exact even while worker threads are recording.
@@ -40,6 +42,8 @@ struct AnalysisPerf {
                             // cold gmin/source-stepping ladder
   long sparse_fallbacks = 0;  // analyses rerun densely after the sparse
                               // engine rejected a factorization
+  long replayed = 0;  // tran only: time steps (counted in items too) copied
+                      // from a settled cycle instead of solved
   double seconds = 0.0;       // wall time inside the analysis
   PhaseSeconds phase;         // assembly / factor / solve attribution
 };
@@ -53,11 +57,11 @@ struct SimPerf {
 
 enum class Analysis { Dc, Ac, Noise, Tran };
 
-// Accumulate one analysis call. `items`/`warm_*` as per AnalysisPerf;
-// `phases`, when non-null, adds per-phase attribution.
+// Accumulate one analysis call. `items`/`warm_*`/`replayed` as per
+// AnalysisPerf; `phases`, when non-null, adds per-phase attribution.
 void sim_perf_record(Analysis which, long items, double seconds,
                      long warm_hits = 0, long warm_fallbacks = 0,
-                     const PhaseSeconds* phases = nullptr);
+                     const PhaseSeconds* phases = nullptr, long replayed = 0);
 
 // Count one sparse-engine rejection (the analysis rerun happens on the
 // dense path and records itself through sim_perf_record as usual).

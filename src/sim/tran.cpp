@@ -1,8 +1,11 @@
 #include "sim/tran.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <optional>
 
 #include "sim/perf.hpp"
@@ -17,8 +20,21 @@ double seconds_between(clock_type::time_point a, clock_type::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-double src_at(double dc, const circuit::Pwl& pwl, double t) {
-  return pwl.empty() ? dc : pwl.at(t);
+// Every independent source's value at time t: isources first, then
+// vsources, in netlist order. This is a step's only time input.
+void eval_sources(const circuit::Netlist& nl, double t,
+                  std::vector<double>& out) {
+  const auto at = [t](const auto& src) {
+    return src.pwl.empty() ? src.dc : src.pwl.at(t);
+  };
+  std::size_t k = 0;
+  for (const auto& src : nl.isources()) out[k++] = at(src);
+  for (const auto& src : nl.vsources()) out[k++] = at(src);
+}
+
+// Bitwise equality: unlike ==, tells -0.0 from +0.0.
+bool same_bits(const double* a, const double* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
 }
 
 // Time steps are ns-to-us scale; fixed-notation std::to_string collapses
@@ -43,14 +59,15 @@ struct TranWork {
   PhaseSeconds phase;
 };
 
-// Dense residual + Jacobian for one Newton iteration at time t_now. The
-// stamps and their order are the legacy inline assembly verbatim; only
-// the storage is reused between calls.
+// Dense residual + Jacobian for one Newton iteration under the step's
+// source values (see eval_sources). The stamps and their order are the
+// legacy inline assembly verbatim; only the storage is reused between
+// calls.
 void build_tran_dense(const SimContext& ctx, const OpPoint& ic,
                       const std::vector<double>& x,
-                      const std::vector<double>& x_prev, double t_now,
-                      double gh, double gmin, la::Mat& j,
-                      std::vector<double>& f) {
+                      const std::vector<double>& x_prev,
+                      const double* sources, double gh, double gmin,
+                      la::Mat& j, std::vector<double>& f) {
   const MnaMap& m = ctx.map;
   const circuit::Netlist& nl = ctx.nl;
   if (j.rows() != m.dim() || j.cols() != m.dim()) {
@@ -111,8 +128,10 @@ void build_tran_dense(const SimContext& ctx, const OpPoint& ic,
     stamp_cap(mos.s, mos.b, c.csb);
   }
 
-  for (const auto& src : nl.isources()) {
-    const double i = src_at(src.dc, src.pwl, t_now);
+  const std::size_t ni = nl.isources().size();
+  for (std::size_t k = 0; k < ni; ++k) {
+    const auto& src = nl.isources()[k];
+    const double i = sources[k];
     if (m.v(src.p) >= 0) f[m.v(src.p)] += i;
     if (m.v(src.n) >= 0) f[m.v(src.n)] -= i;
   }
@@ -130,7 +149,7 @@ void build_tran_dense(const SimContext& ctx, const OpPoint& ic,
       j(m.v(src.n), b) -= 1.0;
       j(b, m.v(src.n)) -= 1.0;
     }
-    f[b] = volt(x, src.p) - volt(x, src.n) - src_at(src.dc, src.pwl, t_now);
+    f[b] = volt(x, src.p) - volt(x, src.n) - sources[ni + k];
   }
 
   for (int node = 1; node < m.num_nodes(); ++node) {
@@ -144,9 +163,9 @@ void build_tran_dense(const SimContext& ctx, const OpPoint& ic,
 // precomputed stamp slots.
 void build_tran_sparse(const SimContext& ctx, const MnaStructure& st,
                        const OpPoint& ic, const std::vector<double>& x,
-                       const std::vector<double>& x_prev, double t_now,
-                       double gh, double gmin, std::vector<double>& vals,
-                       std::vector<double>& f) {
+                       const std::vector<double>& x_prev,
+                       const double* sources, double gh, double gmin,
+                       std::vector<double>& vals, std::vector<double>& f) {
   const MnaMap& m = ctx.map;
   const circuit::Netlist& nl = ctx.nl;
   vals.assign(st.pattern.nnz(), 0.0);
@@ -202,8 +221,10 @@ void build_tran_sparse(const SimContext& ctx, const MnaStructure& st,
     cap_residual(mos.s, mos.b, c.csb * gh);
   }
 
-  for (const auto& src : nl.isources()) {
-    const double i = src_at(src.dc, src.pwl, t_now);
+  const std::size_t ni = nl.isources().size();
+  for (std::size_t k = 0; k < ni; ++k) {
+    const auto& src = nl.isources()[k];
+    const double i = sources[k];
     if (m.v(src.p) >= 0) f[m.v(src.p)] += i;
     if (m.v(src.n) >= 0) f[m.v(src.n)] -= i;
   }
@@ -222,7 +243,7 @@ void build_tran_sparse(const SimContext& ctx, const MnaStructure& st,
       vals[vs.nb] -= 1.0;
       vals[vs.bn] -= 1.0;
     }
-    f[b] = volt(x, src.p) - volt(x, src.n) - src_at(src.dc, src.pwl, t_now);
+    f[b] = volt(x, src.p) - volt(x, src.n) - sources[ni + k];
   }
 
   for (int node = 1; node < m.num_nodes(); ++node) {
@@ -232,12 +253,138 @@ void build_tran_sparse(const SimContext& ctx, const MnaStructure& st,
   }
 }
 
+// One backward-Euler step: Newton from x (the previous step's solution,
+// also x_prev) to this step's solution, in place. Throws SimError when
+// Newton fails, SparseEngineFallback when the sparse LU rejects a matrix.
+void newton_step(const SimContext& ctx, const OpPoint& ic,
+                 const TranOptions& opt, const double* sources, double t_now,
+                 double gh, TranWork& w, std::vector<double>& x,
+                 const std::vector<double>& x_prev) {
+  const int nv = ctx.map.num_nodes() - 1;
+  for (int iter = 0; iter < opt.max_newton; ++iter) {
+    if (w.slu) {
+      const auto a0 = clock_type::now();
+      build_tran_sparse(ctx, *w.st, ic, x, x_prev, sources, gh, opt.gmin,
+                        w.vals, w.f);
+      const auto a1 = clock_type::now();
+      if (!w.slu->factor_values(w.vals.data())) throw SparseEngineFallback{};
+      const auto a2 = clock_type::now();
+      w.rhs.resize(w.f.size());
+      for (std::size_t i = 0; i < w.f.size(); ++i) w.rhs[i] = -w.f[i];
+      w.dx.resize(w.f.size());
+      w.slu->solve_into(w.rhs.data(), w.dx.data());
+      const auto a3 = clock_type::now();
+      w.phase.assembly += seconds_between(a0, a1);
+      w.phase.factor += seconds_between(a1, a2);
+      w.phase.solve += seconds_between(a2, a3);
+    } else {
+      const auto a0 = clock_type::now();
+      build_tran_dense(ctx, ic, x, x_prev, sources, gh, opt.gmin, w.j, w.f);
+      const auto a1 = clock_type::now();
+      w.rhs.resize(w.f.size());
+      for (std::size_t i = 0; i < w.f.size(); ++i) w.rhs[i] = -w.f[i];
+      try {
+        w.lu.factor_swap(w.j);
+      } catch (const la::SingularMatrixError&) {
+        throw SimError("transient: singular Jacobian at t=" +
+                       format_time(t_now) + " s (Newton iteration " +
+                       std::to_string(iter + 1) + ")");
+      }
+      const auto a2 = clock_type::now();
+      w.lu.solve_into(w.rhs, w.dx);
+      const auto a3 = clock_type::now();
+      w.phase.assembly += seconds_between(a0, a1);
+      w.phase.factor += seconds_between(a1, a2);
+      w.phase.solve += seconds_between(a2, a3);
+    }
+    double max_dv = 0.0;
+    for (int i = 0; i < nv; ++i) {
+      max_dv = std::max(max_dv, std::fabs(w.dx[i]));
+    }
+    const double scale =
+        max_dv > opt.step_limit ? opt.step_limit / max_dv : 1.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] += scale * w.dx[i];
+      if (!std::isfinite(x[i])) {
+        throw SimError("transient: divergence at t=" + format_time(t_now) +
+                       " s");
+      }
+    }
+    double max_res = 0.0;
+    for (int i = 0; i < nv; ++i) {
+      max_res = std::max(max_res, std::fabs(w.f[i]));
+    }
+    if (scale == 1.0 && max_dv < opt.tol_step &&
+        max_res < opt.tol_residual) {
+      return;
+    }
+  }
+  throw SimError("transient: Newton failed at t=" + format_time(t_now) +
+                 " s");
+}
+
+// The post-step unknown vectors (branch currents included) of the current
+// step and the kMaxPeriod steps before it, each with the sparse LU's
+// re-pivot count after that step. Slot s % kSlots holds step s.
+class StepRing {
+ public:
+  static constexpr int kMaxPeriod = 16;
+
+  explicit StepRing(std::size_t dim) : dim_(dim), x_(kSlots * dim) {}
+
+  [[nodiscard]] const double* x(int step) const {
+    return x_.data() + slot(step) * dim_;
+  }
+  void store(int step, const std::vector<double>& x, long repivots) {
+    std::copy(x.begin(), x.end(), x_.begin() + slot(step) * dim_);
+    repivots_[slot(step)] = repivots;
+  }
+  // The smallest period p such that step repeats step - p bit for bit,
+  // under the same recorded pivot order, with steps step-p+1..step all on
+  // one source vector (the last `held` steps are) and a base step of at
+  // least 1 (the LU records its pivot order in step 1). 0 when none.
+  [[nodiscard]] int period(int step, int held) const {
+    const int max_p = std::min({kMaxPeriod, held, step - 1});
+    for (int p = 1; p <= max_p; ++p) {
+      if (repivots_[slot(step - p)] == repivots_[slot(step)] &&
+          same_bits(x(step - p), x(step), dim_)) {
+        return p;
+      }
+    }
+    return 0;
+  }
+
+ private:
+  static constexpr int kSlots = kMaxPeriod + 1;
+  static std::size_t slot(int step) {
+    return static_cast<std::size_t>(step % kSlots);
+  }
+
+  std::size_t dim_;
+  std::vector<double> x_;
+  long repivots_[kSlots] = {};
+};
+
+// ceil(tstop / dt) when it is a step count whose output rows fit in an
+// int; SimError otherwise (dt = 0, a non-finite or negative quotient, or
+// one too large), before anything is allocated.
+int step_count(const TranOptions& opt) {
+  const double q = std::ceil(opt.tstop / opt.dt);
+  if (!(q >= 0.0 &&
+        q < static_cast<double>(std::numeric_limits<int>::max()))) {
+    throw SimError("transient: tstop=" + format_time(opt.tstop) +
+                   " s and dt=" + format_time(opt.dt) +
+                   " s do not give a representable step count");
+  }
+  return static_cast<int>(q);
+}
+
 TranResult solve_tran_impl(const SimContext& ctx, const OpPoint& ic,
                            const TranOptions& opt, bool use_sparse) {
   const auto t0 = clock_type::now();
   const MnaMap& m = ctx.map;
   const circuit::Netlist& nl = ctx.nl;
-  const int steps = static_cast<int>(std::ceil(opt.tstop / opt.dt));
+  const int steps = step_count(opt);
 
   TranResult out;
   out.t.reserve(steps + 1);
@@ -262,82 +409,46 @@ TranResult solve_tran_impl(const SimContext& ctx, const OpPoint& ic,
 
   std::vector<double> x_prev = x;
 
+  // A step is a pure function of x_prev, the step's source values and the
+  // sparse LU's recorded pivot order. Once a settled cycle of `period`
+  // steps repeats that triple, each following step whose sources still
+  // match is copied from the ring instead of solved.
+  StepRing ring(x.size());
+  ring.store(0, x, 0);
+  const std::size_t nsrc = nl.isources().size() + nl.vsources().size();
+  std::vector<double> src(nsrc), src_prev(nsrc);
+  int held = 0;    // consecutive steps, ending at this one, on these sources
+  int period = 0;  // > 0 while replaying a cycle of this many steps
+  long replayed = 0;
+
   const double gh = 1.0 / opt.dt;
   for (int step = 1; step <= steps; ++step) {
     const double t_now = step * opt.dt;
-    bool converged = false;
-    for (int iter = 0; iter < opt.max_newton; ++iter) {
-      if (use_sparse) {
-        const auto a0 = clock_type::now();
-        build_tran_sparse(ctx, *w.st, ic, x, x_prev, t_now, gh, opt.gmin,
-                          w.vals, w.f);
-        const auto a1 = clock_type::now();
-        if (!w.slu->factor_values(w.vals.data())) throw SparseEngineFallback{};
-        const auto a2 = clock_type::now();
-        w.rhs.resize(w.f.size());
-        for (std::size_t i = 0; i < w.f.size(); ++i) w.rhs[i] = -w.f[i];
-        w.dx.resize(w.f.size());
-        w.slu->solve_into(w.rhs.data(), w.dx.data());
-        const auto a3 = clock_type::now();
-        w.phase.assembly += seconds_between(a0, a1);
-        w.phase.factor += seconds_between(a1, a2);
-        w.phase.solve += seconds_between(a2, a3);
-      } else {
-        const auto a0 = clock_type::now();
-        build_tran_dense(ctx, ic, x, x_prev, t_now, gh, opt.gmin, w.j, w.f);
-        const auto a1 = clock_type::now();
-        w.rhs.resize(w.f.size());
-        for (std::size_t i = 0; i < w.f.size(); ++i) w.rhs[i] = -w.f[i];
-        try {
-          w.lu.factor_swap(w.j);
-        } catch (const la::SingularMatrixError&) {
-          throw SimError("transient: singular Jacobian at t=" +
-                         format_time(t_now) + " s (Newton iteration " +
-                         std::to_string(iter + 1) + ")");
-        }
-        const auto a2 = clock_type::now();
-        w.lu.solve_into(w.rhs, w.dx);
-        const auto a3 = clock_type::now();
-        w.phase.assembly += seconds_between(a0, a1);
-        w.phase.factor += seconds_between(a1, a2);
-        w.phase.solve += seconds_between(a2, a3);
-      }
-      double max_dv = 0.0;
-      const int nv = m.num_nodes() - 1;
-      for (int i = 0; i < nv; ++i) {
-        max_dv = std::max(max_dv, std::fabs(w.dx[i]));
-      }
-      const double scale =
-          max_dv > opt.step_limit ? opt.step_limit / max_dv : 1.0;
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        x[i] += scale * w.dx[i];
-        if (!std::isfinite(x[i])) {
-          throw SimError("transient: divergence at t=" + format_time(t_now) +
-                         " s");
-        }
-      }
-      double max_res = 0.0;
-      for (int i = 0; i < nv; ++i) {
-        max_res = std::max(max_res, std::fabs(w.f[i]));
-      }
-      if (scale == 1.0 && max_dv < opt.tol_step &&
-          max_res < opt.tol_residual) {
-        converged = true;
-        break;
-      }
+    eval_sources(nl, t_now, src);
+    if (step > 1 && same_bits(src.data(), src_prev.data(), nsrc)) {
+      ++held;
+    } else {
+      held = 1;
+      period = 0;
     }
-    if (!converged) {
-      throw SimError("transient: Newton failed at t=" + format_time(t_now) +
-                     " s");
+    if (period > 0) {
+      const double* from = ring.x(step - period);
+      std::copy(from, from + x.size(), x.begin());
+      ++replayed;
+    } else {
+      newton_step(ctx, ic, opt, src.data(), t_now, gh, w, x, x_prev);
     }
+    ring.store(step, x, w.slu ? w.slu->repivots() : 0);
+    if (period == 0) period = ring.period(step, held);
     out.t.push_back(t_now);
     for (int node = 1; node < m.num_nodes(); ++node) {
       out.v(step, node) = x[m.v(node)];
     }
     x_prev = x;
+    src.swap(src_prev);
   }
   sim_perf_record(Analysis::Tran, steps, seconds_between(t0, clock_type::now()),
-                  0, 0, &w.phase);
+                  0, 0, &w.phase, replayed);
   return out;
 }
 

@@ -3,10 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "circuit/analyze.hpp"
+#include "circuit/gcir.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/tech.hpp"
 #include "circuits/benchmark_circuits.hpp"
+#include "common/rng.hpp"
+#include "env/circuit_compile.hpp"
 #include "meas/ac_metrics.hpp"
 #include "meas/tran_metrics.hpp"
 #include "sim/perf.hpp"
@@ -607,4 +615,239 @@ TEST(Sparse, DisabledEngineNeverRecordsFallbacks) {
   EXPECT_EQ(p.dc.sparse_fallbacks, 0);
   EXPECT_EQ(p.ac.sparse_fallbacks, 0);
   sim::sim_perf_reset();
+}
+
+namespace {
+
+// RC low-pass (R = 1 kOhm, C = 1 pF, so tau = 1 ns) driven through VIN by
+// `drive`, run for `tstop` at dt = 0.5 ns. Also returns the number of
+// steps the transient filled by replay.
+struct RcRun {
+  sim::TranResult tr;
+  long replayed = 0;
+  int out = 0;
+};
+
+RcRun run_rc(const circuit::Pwl& drive, double tstop) {
+  circuit::Netlist nl;
+  const int in = nl.node("in");
+  const int out = nl.node("out");
+  nl.add_vsource("VIN", in, 0, 0.0, 0.0, drive);
+  nl.add_resistor("R1", in, out, 1e3, false);
+  nl.add_capacitor("C1", out, 0, 1e-12, false);
+  sim::Simulator s(nl, kTech);
+  sim::TranOptions opt;
+  opt.tstop = tstop;
+  opt.dt = 0.5e-9;
+  sim::sim_perf_reset();
+  RcRun r;
+  r.tr = s.tran(opt);
+  r.replayed = sim::sim_perf_snapshot().tran.replayed;
+  r.out = out;
+  sim::sim_perf_reset();
+  return r;
+}
+
+}  // namespace
+
+// A transient replays the steps of a settled stretch and solves every step
+// whose sources moved: the RC settles to the last bit after each edge and
+// replays the rest of the level, a ramp that moves VIN at every step
+// replays nothing, and the edge after a long replayed stretch still gets
+// the backward-Euler RC response.
+TEST(Tran, ReplayEngagesOnlyWhileSourcesHold) {
+  constexpr double kTstop = 300e-9;
+  const circuit::Pwl edges{
+      {{0.0, 0.0}, {1e-9, 0.0}, {2e-9, 1.0}, {150e-9, 1.0}, {151e-9, 0.25}}};
+  const circuit::Pwl ramp{{{0.0, 0.0}, {kTstop, 1.0}}};
+  for (const bool sparse : {false, true}) {
+    SparseEngineGuard guard(sparse);
+    const RcRun held = run_rc(edges, kTstop);
+    // 600 steps; each level holds for ~300 of them and settles in ~100.
+    EXPECT_GT(held.replayed, 300) << "sparse=" << sparse;
+    // Backward Euler on the RC: v_n = (v_{n-1} + a u_n) / (1 + a) with
+    // a = dt / tau; gmin moves v by ~1e-9 relative.
+    const double a = 0.5;
+    double v = 0.0;
+    for (std::size_t n = 1; n < held.tr.t.size(); ++n) {
+      v = (v + a * edges.at(held.tr.t[n])) / (1.0 + a);
+      ASSERT_NEAR(held.tr.at(static_cast<int>(n), held.out), v, 1e-8)
+          << "sparse=" << sparse << " t=" << held.tr.t[n];
+    }
+    // The run ends settled on the second edge's level.
+    EXPECT_NEAR(held.tr.v(held.tr.v.rows() - 1, held.out), 0.25, 1e-8);
+
+    const RcRun ramped = run_rc(ramp, kTstop);
+    EXPECT_EQ(ramped.replayed, 0) << "sparse=" << sparse;
+    EXPECT_EQ(ramped.tr.t.size(), held.tr.t.size());
+  }
+}
+
+// ceil(tstop / dt) must be a step count an int holds. dt = 0 from the C++
+// API and `tran tstop=1 dt=1f` from a .gcir (which plan.tran-range
+// accepts) are not; the transient throws a SimError naming tstop and dt
+// instead of converting the quotient.
+TEST(Tran, RejectsUnrepresentableStepCount) {
+  circuit::Netlist nl;
+  const int in = nl.node("in");
+  const int out = nl.node("out");
+  nl.add_vsource("VIN", in, 0, 1.0);
+  nl.add_resistor("R1", in, out, 1e3, false);
+  nl.add_capacitor("C1", out, 0, 1e-12, false);
+  sim::Simulator s(nl, kTech);
+  const double kNan = std::nan("");
+  const std::pair<double, double> bad[] = {
+      {1e-6, 0.0}, {0.0, 0.0}, {1.0, 1e-15}, {1e-6, -1e-9}, {kNan, 1e-9}};
+  for (const auto& [tstop, dt] : bad) {
+    sim::TranOptions opt;
+    opt.tstop = tstop;
+    opt.dt = dt;
+    try {
+      s.tran(opt);
+      ADD_FAILURE() << "tstop=" << tstop << " dt=" << dt << " ran";
+    } catch (const sim::SimError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("tstop="), std::string::npos) << msg;
+      EXPECT_NE(msg.find("dt="), std::string::npos) << msg;
+    }
+  }
+  // tstop = 0 is a valid run of zero steps: the initial condition alone.
+  EXPECT_EQ(s.tran({0.0, 1e-9}).t.size(), 1u);
+
+  const auto desc = circuit::parse_gcir(
+      "circuit Tran-Step-Count\n"
+      "net a out\n"
+      "vsource VIN a 0 dc=0 pwl=(0,0)(1n,1)\n"
+      "resistor R1 a out r=1k\n"
+      "capacitor C1 out 0 c=1p fixed\n"
+      "metric ts unit=s weight=-1\n"
+      "bench tb\n"
+      "tran tb tstop=1 dt=1f\n"
+      "extract ts settling_time bench=tb probe=out window=0,1 edge=0 "
+      "tol=0.01\n",
+      "<test>");
+  for (const auto& d : circuit::analyze_circuit(desc, kTech)) {
+    EXPECT_NE(d.check, "plan.tran-range") << d.format();
+  }
+  const auto bc = gcnrl::env::compile_circuit(desc, kTech);
+  try {
+    bc.evaluate(bc.netlist);
+    ADD_FAILURE() << "tran tstop=1 dt=1f ran";
+  } catch (const sim::SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("dt=1.000000e-15"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// ---------------------------------------------------------------------
+// Transient waveforms pinned bit for bit.
+// ---------------------------------------------------------------------
+
+namespace {
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
+  return fnv1a(h, s.data(), s.size());
+}
+
+// One LDO design's load-step and line-step transients, set up the way
+// circuits/ldo.cpp sets them up (same PWL edges, tstop, dt, and DC warm
+// start from the nominal operating point), folded into one FNV-1a digest
+// of the raw bytes of `t` and `v`. A SimError folds in its message
+// instead, so failing designs are pinned too. Unlike the circuit's
+// evaluate, this runs the transients on collapsed designs as well.
+std::uint64_t ldo_transient_digest(const gcnrl::env::BenchmarkCircuit& bc,
+                                   const circuit::DesignParams& p) {
+  constexpr double kLoadNom = 5e-3, kLoadHigh = 10e-3;
+  constexpr double kEdge1 = 0.2e-6, kEdge2 = 1.1e-6, kRise = 10e-9;
+  circuit::Netlist sized = bc.netlist;
+  bc.space.apply(sized, p);
+  std::uint64_t h = kFnvBasis;
+  sim::OpPoint nom;
+  try {
+    nom = sim::Simulator(sized, kTech).op();
+  } catch (const sim::SimError& e) {
+    return fnv1a(h, std::string("dc: ") + e.what());
+  }
+  circuit::Netlist load = sized;
+  load.find_isource("ILOAD")->pwl = circuit::Pwl{{{0.0, kLoadNom},
+                                                  {kEdge1, kLoadNom},
+                                                  {kEdge1 + kRise, kLoadHigh},
+                                                  {kEdge2, kLoadHigh},
+                                                  {kEdge2 + kRise, kLoadNom}}};
+  circuit::Netlist line = sized;
+  const double v0 = kTech.vdd;
+  line.find_vsource("VDD")->pwl = circuit::Pwl{{{0.0, v0},
+                                                {kEdge1, v0},
+                                                {kEdge1 + kRise, v0 + 0.2},
+                                                {kEdge2, v0 + 0.2},
+                                                {kEdge2 + kRise, v0}}};
+  for (const circuit::Netlist* nl : {&load, &line}) {
+    sim::Simulator s(*nl, kTech);
+    s.warm_start_from(nom);
+    sim::TranOptions opt;
+    opt.tstop = 2.0e-6;
+    opt.dt = 2e-9;
+    try {
+      const sim::TranResult tr = s.tran(opt);
+      h = fnv1a(h, tr.t.data(), tr.t.size() * sizeof(double));
+      h = fnv1a(h, tr.v.data(),
+                static_cast<std::size_t>(tr.v.rows()) *
+                    static_cast<std::size_t>(tr.v.cols()) * sizeof(double));
+    } catch (const sim::SimError& e) {
+      h = fnv1a(h, std::string("tran: ") + e.what());
+    }
+  }
+  return h;
+}
+
+}  // namespace
+
+// The LDO's load-step and line-step waveforms on the human-expert design
+// and 16 seeded random designs, on both engines, must hash to the digests
+// captured before the transient learned to replay settled steps: the
+// replay may skip work, never change a bit. The digests depend on the
+// platform's libm and on the build having no FMA contraction.
+TEST(Tran, WaveformsMatchParentDigests) {
+  constexpr int kDesigns = 17;  // human expert, then 16 random designs
+  constexpr std::uint64_t kDense[kDesigns] = {
+      0xd6e1a7ad8ea5c7cf, 0xab6a4d30e223abab, 0x2b93e65b021d8c66,
+      0x5bdaa91836b726b6, 0xa0095afdf88e5612, 0x9b2d43036b81767f,
+      0xf41498319d841e00, 0xea20282770e6566d, 0xd87dd1da4a55f7ba,
+      0xb55933db076532cb, 0x3fcd1c7e0a8b4e81, 0xcf24c8b7bb532ad8,
+      0xe1c0d0be0e2af6de, 0xff5260e8fbaa3262, 0x8e1659580d8f8875,
+      0x4761746dfa7c9e5f, 0x19cd402ae1d7a59c};
+  constexpr std::uint64_t kSparse[kDesigns] = {
+      0x7be3aa027eec067f, 0xcdb535a7bb104223, 0x8b318fd089060d1b,
+      0x003e09a3dff56cfd, 0x7f1f6fd6ebeb1212, 0x10d47b0d597ece94,
+      0xf41498319d841e00, 0x737f42f5d88e9acc, 0x24fa1d120e51f4b9,
+      0xc23d06fd1fa0a5fe, 0x94a5711416a6ca07, 0xaf81949413e3d4d5,
+      0x9fb1fc81c7ce7045, 0x02ca2defc26a1045, 0x943b7273566e51ea,
+      0xf6bec7f0626177e7, 0x19cd402ae1d7a59c};
+  const auto bc = gcnrl::circuits::make_ldo(kTech);
+  std::vector<circuit::DesignParams> designs{bc.human_expert};
+  gcnrl::Rng rng(2020);
+  while (static_cast<int>(designs.size()) < kDesigns) {
+    designs.push_back(bc.space.refine(bc.space.random_actions(rng)));
+  }
+  for (const bool sparse : {false, true}) {
+    SparseEngineGuard guard(sparse);
+    const std::uint64_t* want = sparse ? kSparse : kDense;
+    for (int d = 0; d < kDesigns; ++d) {
+      const std::uint64_t got = ldo_transient_digest(bc, designs[d]);
+      EXPECT_EQ(got, want[d]) << (sparse ? "sparse" : "dense") << " design "
+                              << d << ": 0x" << std::hex << got;
+    }
+  }
 }
