@@ -72,18 +72,14 @@ BENCHMARK(BM_EvalBatch_TwoTia_CacheHit)->Unit(benchmark::kMillisecond);
 // Cache-disabled single-eval path with per-analysis attribution: every
 // counter row below lands in the --benchmark_out JSON, so CI publishes a
 // machine-readable breakdown of where an evaluation spends its time
-// (DC solve, AC sweep, noise, transient) and how the DC warm start pays
-// off. Arg(0) = GCNRL_DC_WARM_START equivalent: 0 cold, 1 cross-design
-// warm banks. The workload is an optimizer-like trajectory — small
-// perturbations around one base design — because that neighborhood
-// locality is exactly what the warm start exploits (and what lockstep
-// sweeps exhibit once optimizers converge); fully random consecutive
-// designs would make every warm guess a stranger's.
+// (DC solve, AC sweep, noise, transient) and how often the DC warm starts
+// within one evaluation (sibling testbenches, the transient's t=0 point)
+// converge. The workload is an optimizer-like trajectory: small
+// perturbations around one base design.
 void BM_SingleEval_PerAnalysis(benchmark::State& state, const char* name) {
   env::EvalServiceConfig cfg;
   cfg.threads = 1;
   cfg.cache_capacity = 0;  // cache disabled: every step simulates
-  cfg.dc_warm_start = state.range(0) != 0;
   env::SizingEnv env(circuits::make_benchmark(name, kTech),
                      env::IndexMode::OneHot, cfg);
   Rng rng(11);
@@ -95,10 +91,6 @@ void BM_SingleEval_PerAnalysis(benchmark::State& state, const char* name) {
       for (int j = 0; j < a.cols(); ++j) a(i, j) += 0.05 * rng.normal();
     }
   }
-  // Prime the warm bank so the first timed design is not charged the one
-  // unavoidable cold solve of the run.
-  benchmark::DoNotOptimize(env.step(traj.back()).fom);
-
   sim::sim_perf_reset();
   long evals = 0;
   for (auto _ : state) {
@@ -125,9 +117,9 @@ void BM_SingleEval_PerAnalysis(benchmark::State& state, const char* name) {
   phase_rows("ac", p.ac);
   phase_rows("noise", p.noise);
   phase_rows("tran", p.tran);
-  c["sparse_fallbacks"] =
-      static_cast<double>(p.dc.sparse_fallbacks + p.ac.sparse_fallbacks +
-                          p.noise.sparse_fallbacks + p.tran.sparse_fallbacks);
+  c["sparse_fallbacks"] = static_cast<double>(
+      p.ac.sparse_fallbacks + p.noise.sparse_fallbacks +
+      p.tran.sparse_fallbacks);
   c["dc_solves_per_eval"] = static_cast<double>(p.dc.calls) * inv;
   c["dc_iters_per_eval"] = static_cast<double>(p.dc.items) * inv;
   c["ac_points_per_eval"] = static_cast<double>(p.ac.items) * inv;
@@ -150,13 +142,13 @@ void BM_SingleEval_PerAnalysis(benchmark::State& state, const char* name) {
   state.SetItemsProcessed(evals);
 }
 BENCHMARK_CAPTURE(BM_SingleEval_PerAnalysis, two_tia, "Two-TIA")
-    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SingleEval_PerAnalysis, two_volt, "Two-Volt")
-    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SingleEval_PerAnalysis, three_tia, "Three-TIA")
-    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SingleEval_PerAnalysis, ldo, "LDO")
-    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond);
 
 // Lockstep multi-seed DDPG throughput: 4 (env, agent) pairs sharing one
 // EvalService, stepped via rl::run_ddpg_lockstep. items_per_second counts

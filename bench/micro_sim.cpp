@@ -8,7 +8,6 @@
 #include "sim/perf.hpp"
 #include "sim/simulator.hpp"
 #include "sim/structure.hpp"
-#include "sim/warm.hpp"
 
 using namespace gcnrl;
 
@@ -57,27 +56,8 @@ void BM_AcSweep_TwoTia_97pts(benchmark::State& state) {
 }
 BENCHMARK(BM_AcSweep_TwoTia_97pts);
 
-// AC matrix assembly alone, legacy (full netlist walk per frequency)
-// vs split (G/C stamps built once, Y = G + j*omega*C per frequency) —
-// the per-sweep-point cost the G/C refactor removes.
-void BM_AcAssemblyLegacy_TwoTia_97pts(benchmark::State& state) {
-  auto bc = circuits::make_two_tia(kTech);
-  circuit::Netlist nl = bc.netlist;
-  bc.space.apply(nl, bc.human_expert);
-  sim::Simulator s(nl, kTech);
-  const sim::OpPoint op = s.op();
-  const auto freqs = sim::logspace(1e3, 1e11, 97);
-  for (auto _ : state) {
-    for (const double f : freqs) {
-      benchmark::DoNotOptimize(
-          sim::build_ac_matrix(s.context(), op, 2.0 * M_PI * f)(0, 0));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(freqs.size()));
-}
-BENCHMARK(BM_AcAssemblyLegacy_TwoTia_97pts);
-
+// Dense AC matrix assembly alone: G/C stamps built once per sweep, then
+// Y = G + j*omega*C per frequency point.
 void BM_AcAssemblySplit_TwoTia_97pts(benchmark::State& state) {
   auto bc = circuits::make_two_tia(kTech);
   circuit::Netlist nl = bc.netlist;
@@ -97,13 +77,14 @@ void BM_AcAssemblySplit_TwoTia_97pts(benchmark::State& state) {
 }
 BENCHMARK(BM_AcAssemblySplit_TwoTia_97pts);
 
-// --- sparse vs dense engine rows -------------------------------------
+// --- engine rows -----------------------------------------------------
 //
-// One DC row and one AC row per registered circuit and engine. Each row
-// reports the system size (dim, nnz) and the measured per-solve phase
-// split (assembly / factor / solve, in ns) from the sim-perf registry,
-// so a regression in any single phase is visible directly in CI's
-// BENCH_micro_sim.json instead of hiding inside a total.
+// Per registered circuit: one DC row (DC Newton is dense only) and one AC
+// row per engine. Each row reports the system size (dim, nnz of the
+// sparse pattern) and the measured per-solve phase split (assembly /
+// factor / solve, in ns) from the sim-perf registry, so a regression in
+// any single phase is visible directly in CI's BENCH_micro_sim.json
+// instead of hiding inside a total.
 class SparseEngineGuard {
  public:
   explicit SparseEngineGuard(bool on) : prev_(sim::sparse_engine_enabled()) {
@@ -128,11 +109,10 @@ void report_phase_counters(benchmark::State& state, const sim::MnaStructure& st,
       static_cast<double>(perf.sparse_fallbacks);
 }
 
-void BM_DcEngine(benchmark::State& state, const char* name, bool sparse) {
+void BM_DcEngine(benchmark::State& state, const char* name) {
   auto bc = circuits::make_benchmark(name, kTech);
   circuit::Netlist nl = bc.netlist;
   bc.space.apply(nl, bc.human_expert);
-  SparseEngineGuard guard(sparse);
   sim::sim_perf_reset();
   for (auto _ : state) {
     sim::Simulator s(nl, kTech);
@@ -142,14 +122,10 @@ void BM_DcEngine(benchmark::State& state, const char* name, bool sparse) {
   sim::Simulator s(nl, kTech);
   report_phase_counters(state, *s.context().structure, snap.dc);
 }
-BENCHMARK_CAPTURE(BM_DcEngine, two_tia_sparse, "Two-TIA", true);
-BENCHMARK_CAPTURE(BM_DcEngine, two_tia_dense, "Two-TIA", false);
-BENCHMARK_CAPTURE(BM_DcEngine, two_volt_sparse, "Two-Volt", true);
-BENCHMARK_CAPTURE(BM_DcEngine, two_volt_dense, "Two-Volt", false);
-BENCHMARK_CAPTURE(BM_DcEngine, three_tia_sparse, "Three-TIA", true);
-BENCHMARK_CAPTURE(BM_DcEngine, three_tia_dense, "Three-TIA", false);
-BENCHMARK_CAPTURE(BM_DcEngine, ldo_sparse, "LDO", true);
-BENCHMARK_CAPTURE(BM_DcEngine, ldo_dense, "LDO", false);
+BENCHMARK_CAPTURE(BM_DcEngine, two_tia_dense, "Two-TIA");
+BENCHMARK_CAPTURE(BM_DcEngine, two_volt_dense, "Two-Volt");
+BENCHMARK_CAPTURE(BM_DcEngine, three_tia_dense, "Three-TIA");
+BENCHMARK_CAPTURE(BM_DcEngine, ldo_dense, "LDO");
 
 void BM_AcEngine(benchmark::State& state, const char* name, bool sparse) {
   auto bc = circuits::make_benchmark(name, kTech);

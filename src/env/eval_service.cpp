@@ -7,7 +7,6 @@
 #include <cstring>
 #include <exception>
 #include <mutex>
-#include <optional>
 #include <thread>
 
 #include "common/envcfg.hpp"
@@ -21,7 +20,6 @@ EvalServiceConfig eval_config_from_env() {
   cfg.cache_capacity = static_cast<std::size_t>(std::max(
       0, env_int("GCNRL_EVAL_CACHE",
                  static_cast<int>(cfg.cache_capacity))));
-  cfg.dc_warm_start = env_flag("GCNRL_DC_WARM_START");
   return cfg;
 }
 
@@ -219,7 +217,6 @@ int EvalService::threads() const { return backend_->threads(); }
 
 int EvalService::new_attribution() {
   attr_counters_.emplace_back();
-  warm_banks_.emplace_back();
   return static_cast<int>(attr_counters_.size()) - 1;
 }
 
@@ -260,12 +257,6 @@ std::vector<EvalResult> EvalService::eval_batch_multi(
   struct Slot {
     std::size_t item = 0;  // the batch item whose refined design this job runs
     CachedEval sim;        // filled by the job
-    // Pre-batch snapshot of the submitter's warm-start bank (engaged only
-    // under cfg_.dc_warm_start with a valid attribution slot). Every
-    // same-attr fresh job in a batch starts from the same snapshot; the
-    // commit pass writes banks back in submission order, so the final
-    // bank state never depends on job scheduling.
-    std::optional<sim::WarmStartBank> warm;
   };
   std::vector<EvalCache::Key> keys(n);
   std::vector<long> job_of(n, -1);  // job index evaluating item i
@@ -305,10 +296,6 @@ std::vector<EvalResult> EvalService::eval_batch_multi(
     if (cache_.capacity() > 0) scheduled.emplace(keys[i], job_of[i]);
     slots.emplace_back();
     slots.back().item = i;
-    if (cfg_.dc_warm_start && jobs_in[i].attr >= 0) {
-      slots.back().warm =
-          warm_banks_.at(static_cast<std::size_t>(jobs_in[i].attr));
-    }
     count(jobs_in[i].attr, &EvalCounters::sims);
   }
   // Jobs are pure functions of (netlist, params): each copies the netlist,
@@ -321,15 +308,7 @@ std::vector<EvalResult> EvalService::eval_batch_multi(
     try {
       circuit::Netlist sized = bc.netlist;
       bc.space.apply(sized, results[slot.item].params);
-      if (slot.warm) {
-        // Thread-local scope: Simulators built inside the closure claim
-        // consecutive bank slots and warm-start from the previous
-        // design's converged operating points.
-        sim::WarmStartScope scope(&*slot.warm);
-        slot.sim.metrics = bc.evaluate(sized);
-      } else {
-        slot.sim.metrics = bc.evaluate(sized);
-      }
+      slot.sim.metrics = bc.evaluate(sized);
       slot.sim.sim_ok = true;
     } catch (const sim::SimError&) {
       slot.sim.sim_ok = false;
@@ -337,17 +316,8 @@ std::vector<EvalResult> EvalService::eval_batch_multi(
     }
   });
 
-  // Commit pass (sequential, submission order). Warm-bank writeback first:
-  // slots are in submission order, so the last fresh job of each
-  // attribution slot defines its bank for the next batch.
-  for (Slot& slot : slots) {
-    if (slot.warm) {
-      warm_banks_.at(static_cast<std::size_t>(jobs_in[slot.item].attr)) =
-          std::move(*slot.warm);
-    }
-  }
-  // Then fill fresh/deduped results and insert cache entries
-  // deterministically.
+  // Commit pass (sequential, submission order): fill fresh/deduped
+  // results and insert cache entries deterministically.
   for (std::size_t i = 0; i < n; ++i) {
     if (job_of[i] < 0) continue;  // cache hit, already filled
     const Slot& slot = slots[static_cast<std::size_t>(job_of[i])];

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "env/sizing_env.hpp"
-#include "sim/warm.hpp"
 
 namespace gcnrl::env {
 
@@ -209,11 +208,6 @@ class EvalService {
   std::unordered_map<const BenchmarkCircuit*, TagEntry> ptr_tags_;
   EvalCounters total_;
   std::vector<EvalCounters> attr_counters_;
-  // Cross-design DC warm-start banks, one per attribution slot (only used
-  // when cfg_.dc_warm_start is set; see EvalServiceConfig). Snapshotted
-  // per fresh job at submission and committed back in submission order,
-  // which keeps results bit-identical across backends and thread counts.
-  std::vector<sim::WarmStartBank> warm_banks_;
 };
 
 }  // namespace gcnrl::env

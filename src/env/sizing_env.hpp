@@ -67,18 +67,9 @@ struct EvalResult {
 struct EvalServiceConfig {
   int threads = 1;                    // 1 = serial backend (the default)
   std::size_t cache_capacity = 4096;  // LRU entries; 0 disables the cache
-  // Cross-design DC warm start: seed each fresh evaluation's Newton solves
-  // from the previous design the same submitter (attribution slot)
-  // evaluated. Deterministic across thread counts and invocations — banks
-  // are snapshotted/committed sequentially in submission order — but it
-  // makes a result depend on the submitter's evaluation *history* (and so
-  // on the cache hit/miss pattern), not on the design alone. Off by
-  // default; opt in only where that purity trade is acceptable.
-  bool dc_warm_start = false;
 };
 
-// Reads GCNRL_EVAL_THREADS / GCNRL_EVAL_CACHE / GCNRL_DC_WARM_START from
-// the environment.
+// Reads GCNRL_EVAL_THREADS / GCNRL_EVAL_CACHE from the environment.
 EvalServiceConfig eval_config_from_env();
 
 class EvalService;

@@ -86,9 +86,8 @@ class SparseLu {
   // the caller's cue to fall back to dense la::Lu.
   bool factor_values(const T* vals);
   // Drops the recorded symbolic factorization: the next factor_values()
-  // chooses pivots from scratch. Used to keep warm-start fallback paths
-  // bitwise-identical to cold solves (no pivot history from the abandoned
-  // warm attempt may leak into the cold ladder).
+  // chooses pivots from scratch. SparseSweepLu uses it to force a genuine
+  // re-pivot after a frequency lane rejected the recorded pivot order.
   void invalidate() {
     symbolic_ok_ = false;
     numeric_ok_ = false;

@@ -58,9 +58,7 @@ MetricMap run_plan(const Plan& plan, const circuit::Netlist& sized,
       }
       bench_nl = &nl;
     }
-    // Exactly one Simulator per bench, constructed in bench order: under a
-    // WarmStartScope this claims the same bank slots a builder running the
-    // same sequence of testbenches would.
+    // Exactly one Simulator per bench, constructed in bench order.
     sims.push_back(std::make_unique<sim::Simulator>(*bench_nl, tech));
     sim::Simulator& s = *sims.back();
     if (b.warm_from >= 0) {

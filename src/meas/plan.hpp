@@ -10,10 +10,9 @@
 //
 // Concurrency contract (env::BenchmarkCircuit::evaluate): run_plan is a
 // pure function of (plan, sized netlist, technology). It constructs its
-// Simulators locally — one per bench, in bench order, which also keeps
-// WarmStartScope slot claiming identical to a builder running the same
-// analyses — and touches no shared mutable state, so a closure capturing
-// an immutable Plan by shared_ptr satisfies the contract.
+// Simulators locally — one per bench, in bench order — and touches no
+// shared mutable state, so a closure capturing an immutable Plan by
+// shared_ptr satisfies the contract.
 #pragma once
 
 #include <cmath>

@@ -15,15 +15,6 @@ double seconds_between(clock_type::time_point a, clock_type::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-// Frequencies span mHz to tens of GHz; fixed-notation std::to_string
-// renders both "0.000001" and huge digit strings. Scientific notation
-// keeps diagnostics readable at either extreme.
-std::string format_freq(double f) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6e", f);
-  return buf;
-}
-
 // Frequency-independent AC excitation vector (shared by every sweep
 // point and by both engines).
 std::vector<std::complex<double>> build_ac_rhs(const SimContext& ctx) {
@@ -156,6 +147,12 @@ AcResult solve_ac_sparse(const SimContext& ctx, const OpPoint& op,
 
 }  // namespace
 
+std::string format_freq(double f) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6e", f);
+  return buf;
+}
+
 AcStamps build_ac_stamps(const SimContext& ctx, const OpPoint& op) {
   const MnaMap& m = ctx.map;
   const circuit::Netlist& nl = ctx.nl;
@@ -207,49 +204,6 @@ la::CMat assemble_ac_matrix(const AcStamps& stamps, double omega) {
     for (int j = 0; j < n; ++j) {
       y(i, j) = cd(stamps.g(i, j), omega * stamps.c(i, j));
     }
-  }
-  return y;
-}
-
-la::CMat build_ac_matrix(const SimContext& ctx, const OpPoint& op,
-                         double omega) {
-  using cd = std::complex<double>;
-  const MnaMap& m = ctx.map;
-  const circuit::Netlist& nl = ctx.nl;
-  la::CMat y(m.dim(), m.dim());
-
-  for (const auto& res : nl.resistors()) {
-    stamp_conductance(y, m, res.a, res.b,
-                      cd(1.0 / std::max(res.r, kMinResistance)));
-  }
-  for (const auto& cap : nl.capacitors()) {
-    stamp_conductance(y, m, cap.a, cap.b, cd(0.0, omega * cap.c));
-  }
-  for (std::size_t k = 0; k < nl.mosfets().size(); ++k) {
-    const auto& mos = nl.mosfets()[k];
-    const MosOp& mop = op.mos[k];
-    const MosCaps& c = op.caps[k];
-    stamp_vccs(y, m, mos.d, mos.s, mos.g, mos.s, cd(mop.gm));
-    stamp_conductance(y, m, mos.d, mos.s, cd(mop.gds));
-    stamp_conductance(y, m, mos.g, mos.s, cd(0.0, omega * c.cgs));
-    stamp_conductance(y, m, mos.g, mos.d, cd(0.0, omega * c.cgd));
-    stamp_conductance(y, m, mos.d, mos.b, cd(0.0, omega * c.cdb));
-    stamp_conductance(y, m, mos.s, mos.b, cd(0.0, omega * c.csb));
-  }
-  for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
-    const auto& src = nl.vsources()[k];
-    const int b = m.branch(static_cast<int>(k));
-    if (m.v(src.p) >= 0) {
-      y(m.v(src.p), b) += 1.0;
-      y(b, m.v(src.p)) += 1.0;
-    }
-    if (m.v(src.n) >= 0) {
-      y(m.v(src.n), b) -= 1.0;
-      y(b, m.v(src.n)) -= 1.0;
-    }
-  }
-  for (int node = 1; node < m.num_nodes(); ++node) {
-    y(m.v(node), m.v(node)) += cd(1e-12);
   }
   return y;
 }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <complex>
+#include <string>
 
 #include "sim/mna.hpp"
 
@@ -43,11 +44,10 @@ AcStamps build_ac_stamps(const SimContext& ctx, const OpPoint& op);
 // Y(omega) = G + j*omega*C from a prebuilt split.
 la::CMat assemble_ac_matrix(const AcStamps& stamps, double omega);
 
-// Legacy single-pass assembly (netlist walk per frequency). Kept as the
-// reference implementation for the G/C equivalence tests and benchmarks;
-// the solvers use build_ac_stamps + assemble_ac_matrix.
-la::CMat build_ac_matrix(const SimContext& ctx, const OpPoint& op,
-                         double omega);
+// Frequencies span mHz to tens of GHz; fixed-notation std::to_string
+// renders both "0.000001" and huge digit strings. The AC and noise
+// diagnostics print frequencies in scientific notation instead ("%.6e").
+std::string format_freq(double f);
 
 AcResult solve_ac(const SimContext& ctx, const OpPoint& op,
                   const std::vector<double>& freqs);

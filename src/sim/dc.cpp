@@ -2,10 +2,8 @@
 
 #include <chrono>
 #include <cmath>
-#include <optional>
 
 #include "sim/perf.hpp"
-#include "sim/structure.hpp"
 
 namespace gcnrl::sim {
 namespace {
@@ -23,18 +21,11 @@ double source_value(double dc, const circuit::Pwl& pwl, double time) {
 
 // Per-solve workspace: every buffer the Newton loop touches, reused
 // across iterations and ladder strategies so the loop performs no heap
-// allocation after its first iteration. Exactly one engine is active per
-// solve: sparse when `st` is non-null, dense otherwise.
+// allocation after its first iteration. The assembly matrix and its
+// factorization ping-pong through Lu::factor_swap (see la/lu.hpp).
 struct DcWork {
-  // Dense engine: assembly matrix + factorization, ping-ponged through
-  // Lu::factor_swap (see la/lu.hpp).
   la::Mat j;
   la::Lu<double> lu;
-  // Sparse engine: pattern-aligned value array + structure-reuse LU.
-  const MnaStructure* st = nullptr;
-  la::SparseLuD* slu = nullptr;
-  std::vector<double> vals;
-  // Shared.
   std::vector<double> f, rhs, dx;
   PhaseSeconds phase;
 };
@@ -120,72 +111,6 @@ void build_dense(const SimContext& ctx, const std::vector<double>& x,
   }
 }
 
-// Sparse assembly: the same residual, with the Jacobian written directly
-// into the pattern-aligned value array through the precomputed slots — no
-// dense zero-fill, no coordinate lookups.
-void build_sparse(const SimContext& ctx, const MnaStructure& st,
-                  const std::vector<double>& x, double alpha, double gmin,
-                  double source_time, std::vector<double>& vals,
-                  std::vector<double>& f) {
-  const MnaMap& m = ctx.map;
-  const circuit::Netlist& nl = ctx.nl;
-  vals.assign(st.pattern.nnz(), 0.0);
-  f.assign(m.dim(), 0.0);
-
-  auto volt = [&](int node) { return node == 0 ? 0.0 : x[m.v(node)]; };
-
-  for (std::size_t k = 0; k < nl.resistors().size(); ++k) {
-    const auto& res = nl.resistors()[k];
-    const double g = 1.0 / std::max(res.r, kMinResistance);
-    add_quad(vals.data(), st.resistors[k], g);
-    const double i = g * (volt(res.a) - volt(res.b));
-    if (m.v(res.a) >= 0) f[m.v(res.a)] += i;
-    if (m.v(res.b) >= 0) f[m.v(res.b)] -= i;
-  }
-
-  for (std::size_t k = 0; k < nl.mosfets().size(); ++k) {
-    const auto& mos = nl.mosfets()[k];
-    const MosOp op = eval_mos(ctx.models[k], mos, volt(mos.g), volt(mos.d),
-                              volt(mos.s));
-    const int id_row = m.v(mos.d);
-    const int is_row = m.v(mos.s);
-    if (id_row >= 0) f[id_row] += op.id;
-    if (is_row >= 0) f[is_row] -= op.id;
-    add_mos_g(vals.data(), st.mosfets[k], op.gm, op.gds);
-  }
-
-  for (const auto& src : nl.isources()) {
-    const double i = alpha * source_value(src.dc, src.pwl, source_time);
-    if (m.v(src.p) >= 0) f[m.v(src.p)] += i;
-    if (m.v(src.n) >= 0) f[m.v(src.n)] -= i;
-  }
-
-  for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
-    const auto& src = nl.vsources()[k];
-    const int b = m.branch(static_cast<int>(k));
-    const double i = x[b];
-    const VsrcSlots& vs = st.vsources[k];
-    if (m.v(src.p) >= 0) {
-      f[m.v(src.p)] += i;
-      vals[vs.pb] += 1.0;
-      vals[vs.bp] += 1.0;
-    }
-    if (m.v(src.n) >= 0) {
-      f[m.v(src.n)] -= i;
-      vals[vs.nb] -= 1.0;
-      vals[vs.bn] -= 1.0;
-    }
-    f[b] = volt(src.p) - volt(src.n) -
-           alpha * source_value(src.dc, src.pwl, source_time);
-  }
-
-  for (int node = 1; node < m.num_nodes(); ++node) {
-    const int row = m.v(node);
-    vals[st.node_diag[node - 1]] += gmin;
-    f[row] += gmin * x[row];
-  }
-}
-
 struct NewtonResult {
   bool converged = false;
   std::vector<double> x;
@@ -198,44 +123,25 @@ NewtonResult newton(const SimContext& ctx, DcWork& w, std::vector<double> x,
   const int nv = ctx.map.num_nodes() - 1;
   const int max_iter = max_iter_override > 0 ? max_iter_override
                                              : opt.max_iter;
-  const bool sparse = w.st != nullptr;
   int iters = 0;
   for (int iter = 0; iter < max_iter; ++iter) {
     ++iters;
-    if (sparse) {
-      const auto a0 = clock_type::now();
-      build_sparse(ctx, *w.st, x, alpha, gmin, opt.source_time, w.vals, w.f);
-      const auto a1 = clock_type::now();
-      // Any rejected sparse factorization (structural singularity, pivot
-      // failure, growth) reruns the whole DC solve on the dense path.
-      if (!w.slu->factor_values(w.vals.data())) throw SparseEngineFallback{};
-      const auto a2 = clock_type::now();
-      w.rhs.resize(w.f.size());
-      for (std::size_t i = 0; i < w.f.size(); ++i) w.rhs[i] = -w.f[i];
-      w.dx.resize(w.f.size());
-      w.slu->solve_into(w.rhs.data(), w.dx.data());
-      const auto a3 = clock_type::now();
-      w.phase.assembly += seconds_between(a0, a1);
-      w.phase.factor += seconds_between(a1, a2);
-      w.phase.solve += seconds_between(a2, a3);
-    } else {
-      const auto a0 = clock_type::now();
-      build_dense(ctx, x, alpha, gmin, opt.source_time, w.j, w.f);
-      const auto a1 = clock_type::now();
-      w.rhs.resize(w.f.size());
-      for (std::size_t i = 0; i < w.f.size(); ++i) w.rhs[i] = -w.f[i];
-      try {
-        w.lu.factor_swap(w.j);
-      } catch (const la::SingularMatrixError&) {
-        return {false, std::move(x), iters};
-      }
-      const auto a2 = clock_type::now();
-      w.lu.solve_into(w.rhs, w.dx);
-      const auto a3 = clock_type::now();
-      w.phase.assembly += seconds_between(a0, a1);
-      w.phase.factor += seconds_between(a1, a2);
-      w.phase.solve += seconds_between(a2, a3);
+    const auto a0 = clock_type::now();
+    build_dense(ctx, x, alpha, gmin, opt.source_time, w.j, w.f);
+    const auto a1 = clock_type::now();
+    w.rhs.resize(w.f.size());
+    for (std::size_t i = 0; i < w.f.size(); ++i) w.rhs[i] = -w.f[i];
+    try {
+      w.lu.factor_swap(w.j);
+    } catch (const la::SingularMatrixError&) {
+      return {false, std::move(x), iters};
     }
+    const auto a2 = clock_type::now();
+    w.lu.solve_into(w.rhs, w.dx);
+    const auto a3 = clock_type::now();
+    w.phase.assembly += seconds_between(a0, a1);
+    w.phase.factor += seconds_between(a1, a2);
+    w.phase.solve += seconds_between(a2, a3);
     // Damping: limit the largest voltage step.
     double max_dv = 0.0;
     for (int i = 0; i < nv; ++i) max_dv = std::max(max_dv, std::fabs(w.dx[i]));
@@ -281,21 +187,32 @@ OpPoint finalize(const SimContext& ctx, const std::vector<double>& x) {
   return op;
 }
 
-OpPoint solve_dc_impl(const SimContext& ctx, const DcOptions& opt,
-                      const std::vector<double>* warm_start, DcStats* stats,
-                      bool use_sparse) {
+}  // namespace
+
+std::vector<double> project_op(const OpPoint& op, const MnaMap& map) {
+  std::vector<double> x(static_cast<std::size_t>(map.dim()), 0.0);
+  const int shared_nodes =
+      std::min(map.num_nodes(), static_cast<int>(op.v.size()));
+  for (int node = 1; node < shared_nodes; ++node) {
+    x[static_cast<std::size_t>(map.v(node))] = op.v[node];
+  }
+  const int shared_branches =
+      std::min(map.dim() - (map.num_nodes() - 1),
+               static_cast<int>(op.branch_i.size()));
+  for (int k = 0; k < shared_branches; ++k) {
+    x[static_cast<std::size_t>(map.branch(k))] = op.branch_i[k];
+  }
+  return x;
+}
+
+OpPoint solve_dc(const SimContext& ctx, const DcOptions& opt,
+                 const std::vector<double>* warm_start, DcStats* stats) {
   const auto t0 = clock_type::now();
   DcStats local;
   DcStats& st = stats ? *stats : local;
   st = DcStats{};
 
   DcWork w;
-  std::optional<la::SparseLuD> slu_store;
-  if (use_sparse) {
-    w.st = ctx.structure.get();
-    slu_store.emplace(ctx.structure->pattern);
-    w.slu = &*slu_store;
-  }
 
   // Record once per solve no matter which return/throw path is taken.
   auto record = [&](bool ok) {
@@ -325,11 +242,6 @@ OpPoint solve_dc_impl(const SimContext& ctx, const DcOptions& opt,
       return finalize(ctx, nr.x);
     }
   }
-  // Cold-ladder determinism: drop any pivot order recorded during the
-  // warm attempt, so the ladder's sparse factorizations are identical to
-  // a cold solve's (which enters here with a virgin SparseLu).
-  if (w.slu) w.slu->invalidate();
-
   // Best converged unknown vector seen so far across strategies; later
   // strategies start from it instead of discarding the progress.
   std::vector<double> best(ctx.map.dim(), 0.0);
@@ -443,20 +355,6 @@ OpPoint solve_dc_impl(const SimContext& ctx, const DcOptions& opt,
 
   record(false);
   throw SimError("DC operating point did not converge");
-}
-
-}  // namespace
-
-OpPoint solve_dc(const SimContext& ctx, const DcOptions& opt,
-                 const std::vector<double>* warm_start, DcStats* stats) {
-  if (sparse_engine_enabled() && ctx.structure) {
-    try {
-      return solve_dc_impl(ctx, opt, warm_start, stats, /*use_sparse=*/true);
-    } catch (const SparseEngineFallback&) {
-      sim_perf_sparse_fallback(Analysis::Dc);
-    }
-  }
-  return solve_dc_impl(ctx, opt, warm_start, stats, /*use_sparse=*/false);
 }
 
 }  // namespace gcnrl::sim

@@ -44,14 +44,22 @@ struct DcStats {
   int strategy = 0;       // 0 = warm start, 1..3 = ladder strategy that won
 };
 
-// Solves for the DC operating point. `warm_start`, when non-null, is a
-// full MNA unknown vector (node voltages + branch currents, e.g. from
-// sim::project_op) used as the initial guess for a direct Newton attempt
-// at the target gmin; on non-convergence the solver falls back to the
-// unchanged three-strategy ladder from scratch, so robustness is
-// identical to a cold solve. Throws SimError if every strategy fails.
+// Solves for the DC operating point on the dense LU. `warm_start`, when
+// non-null, is a full MNA unknown vector (node voltages + branch
+// currents, e.g. from project_op) used as the initial guess for a direct
+// Newton attempt at the target gmin; on non-convergence the solver falls
+// back to the unchanged three-strategy ladder from scratch, so robustness
+// is identical to a cold solve. Throws SimError if every strategy fails.
 OpPoint solve_dc(const SimContext& ctx, const DcOptions& opt = {},
                  const std::vector<double>* warm_start = nullptr,
                  DcStats* stats = nullptr);
+
+// Projects an operating point solved on one netlist onto the unknown
+// vector of a (possibly structurally different) netlist: node voltages
+// are copied by node id, voltage-source branch currents by source index,
+// anything the source op does not cover starts at zero. Testbench
+// derivations in the circuit builders only ever *append* nodes and
+// sources to the sized netlist, so the shared prefix lines up exactly.
+std::vector<double> project_op(const OpPoint& op, const MnaMap& map);
 
 }  // namespace gcnrl::sim

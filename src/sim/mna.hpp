@@ -71,8 +71,8 @@ struct SimContext {
   MnaMap map;
   // Sparse-engine structure (CSR pattern + stamp slots), computed once
   // per context from the topology alone — see sim/structure.hpp. Always
-  // built (construction is one netlist walk); the engines consult
-  // sparse_engine_enabled() to decide whether to use it.
+  // built (construction is one netlist walk); the AC, noise and transient
+  // engines use it unless sparse_engine_enabled() is off. DC does not.
   std::unique_ptr<const MnaStructure> structure;
   // Lazily-created blocked sweep engine shared by the AC and noise
   // sweeps: caching it here keeps the symbolic factorization (and its

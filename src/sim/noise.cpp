@@ -80,7 +80,15 @@ NoiseResult solve_noise_dense(const SimContext& ctx, const OpPoint& op,
     const auto a0 = clock_type::now();
     la::CMat y = assemble_ac_matrix(stamps, omega);
     const auto a1 = clock_type::now();
-    lu.factor_swap(y);
+    try {
+      lu.factor_swap(y);
+    } catch (const la::SingularMatrixError&) {
+      phase.factor += seconds_between(a1, clock_type::now());
+      phase.assembly += seconds_between(a0, a1);
+      sim_perf_record(Analysis::Noise, static_cast<long>(fi),
+                      seconds_between(t0, clock_type::now()), 0, 0, &phase);
+      throw SimError("noise matrix singular at f=" + format_freq(f) + " Hz");
+    }
     const auto a2 = clock_type::now();
     // Adjoint: Y^T ytr = e  =>  v_out(unit injection a->b) = ytr_a - ytr_b.
     lu.solve_transposed_into(e, ytr, /*conjugate=*/false);

@@ -40,8 +40,9 @@ struct AnalysisPerf {
   long warm_hits = 0;  // DC only: solves converged directly from a warm start
   long warm_fallbacks = 0;  // DC only: warm attempts that fell back to the
                             // cold gmin/source-stepping ladder
-  long sparse_fallbacks = 0;  // analyses rerun densely after the sparse
-                              // engine rejected a factorization
+  long sparse_fallbacks = 0;  // AC/noise/tran analyses rerun densely after
+                              // the sparse engine rejected a
+                              // factorization (DC is always dense: 0)
   long replayed = 0;  // tran only: time steps (counted in items too) copied
                       // from a settled cycle instead of solved
   double seconds = 0.0;       // wall time inside the analysis

@@ -6,15 +6,7 @@ namespace gcnrl::sim {
 
 Simulator::Simulator(const circuit::Netlist& nl,
                      const circuit::Technology& tech)
-    : ctx_(nl, tech) {
-  // Claim a bank slot while a cross-design warm-start scope is active.
-  // Circuit closures construct their Simulators in a fixed order, so slot
-  // k always holds the structurally identical testbench of the previous
-  // design evaluated by the same submitter.
-  if (WarmStartScope* scope = WarmStartScope::current()) {
-    scope_slot_ = scope->claim_slot();
-  }
-}
+    : ctx_(nl, tech) {}
 
 void Simulator::warm_start_from(const OpPoint& guess) {
   if (op_.has_value()) return;
@@ -23,22 +15,8 @@ void Simulator::warm_start_from(const OpPoint& guess) {
 
 const OpPoint& Simulator::op() {
   if (op_.has_value()) return *op_;
-
-  // Guess priority: explicit sibling-testbench op > scope slot (same
-  // testbench, previous design) > scope last-op projection > cold.
-  std::optional<std::vector<double>> guess = warm_guess_;
-  WarmStartScope* scope = WarmStartScope::current();
-  if (!guess && scope && scope_slot_ >= 0) {
-    if (const OpPoint* slot = scope->bank().slot_op(scope_slot_, ctx_.map)) {
-      guess = project_op(*slot, ctx_.map);
-    } else if (const OpPoint* last = scope->bank().last_op()) {
-      guess = project_op(*last, ctx_.map);
-    }
-  }
-  op_ = solve_dc(ctx_, DcOptions{}, guess ? &*guess : nullptr, &dc_stats_);
-  if (scope && scope_slot_ >= 0) {
-    scope->bank().store(scope_slot_, ctx_.map, *op_);
-  }
+  op_ = solve_dc(ctx_, DcOptions{}, warm_guess_ ? &*warm_guess_ : nullptr,
+                 &dc_stats_);
   return *op_;
 }
 

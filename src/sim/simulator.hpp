@@ -7,17 +7,13 @@
 // differ structurally, exactly as separate testbenches would in a real
 // flow.
 //
-// DC warm starts come from two places (see sim/warm.hpp):
-//   * warm_start_from(op) — an explicit guess handed over by the caller,
-//     typically the solved operating point of a sibling testbench for the
-//     same design. Pure: derived only from the design under evaluation.
-//   * an active WarmStartScope — each Simulator constructed inside the
-//     scope claims the next bank slot and, lacking an explicit guess,
-//     warm-starts from the converged op the *previous design* stored in
-//     that slot. Opt-in at the EvalService level.
-// In both cases Newton tries the guess directly at the target gmin and
-// falls back to the unchanged cold ladder on non-convergence, so a bad
-// guess can cost iterations but never a different failure behavior.
+// DC warm starts come only from the design under evaluation, so a result
+// stays a pure function of the design: warm_start_from(op) takes an
+// explicit guess from the caller, typically the solved operating point of
+// a sibling testbench, and op_at_time_zero() starts from op() once that
+// is solved. Newton tries the guess directly at the target gmin and falls
+// back to the unchanged cold ladder on non-convergence, so a bad guess can
+// cost iterations but never a different failure behavior.
 #pragma once
 
 #include <optional>
@@ -26,7 +22,6 @@
 #include "sim/dc.hpp"
 #include "sim/noise.hpp"
 #include "sim/tran.hpp"
-#include "sim/warm.hpp"
 
 namespace gcnrl::sim {
 
@@ -35,8 +30,8 @@ class Simulator {
   Simulator(const circuit::Netlist& nl, const circuit::Technology& tech);
 
   // Supplies an explicit DC initial guess (projected onto this netlist's
-  // unknowns). Call before the first analysis; takes precedence over any
-  // WarmStartScope slot. No effect once op() has been solved.
+  // unknowns). Call before the first analysis; no effect once op() has
+  // been solved.
   void warm_start_from(const OpPoint& guess);
 
   // DC operating point (computed once, cached). Throws SimError.
@@ -66,7 +61,6 @@ class Simulator {
   std::optional<OpPoint> op_;
   std::optional<OpPoint> op_t0_;
   std::optional<std::vector<double>> warm_guess_;
-  int scope_slot_ = -1;  // bank slot claimed at construction, -1 = none
   DcStats dc_stats_;
 };
 

@@ -2,15 +2,13 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
 namespace gcnrl::sim {
 
 namespace {
 
-// -1 = uninitialized (read GCNRL_SPARSE on first query), 0/1 = forced.
-std::atomic<int> g_sparse_enabled{-1};
+std::atomic<bool> g_sparse_enabled{true};
 
 void quad_coords(std::vector<std::pair<int, int>>& out, const MnaMap& m,
                  int a, int b) {
@@ -67,17 +65,11 @@ VccsSlots vccs_slots(const la::SparsePattern& p, const MnaMap& m, int out_p,
 }  // namespace
 
 bool sparse_engine_enabled() {
-  int v = g_sparse_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("GCNRL_SPARSE");
-    v = (env != nullptr && env[0] == '0' && env[1] == '\0') ? 0 : 1;
-    g_sparse_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
+  return g_sparse_enabled.load(std::memory_order_relaxed);
 }
 
 void set_sparse_engine_enabled(bool on) {
-  g_sparse_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
+  g_sparse_enabled.store(on, std::memory_order_relaxed);
 }
 
 MnaStructure::MnaStructure(const circuit::Netlist& nl, const MnaMap& m) {

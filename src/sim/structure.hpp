@@ -3,11 +3,12 @@
 // Sizing changes element *values* but never the netlist topology, so the
 // CSR sparsity pattern of the MNA system and the value-array slot of
 // every element stamp can be computed once per SimContext and reused by
-// every analysis (DC, AC, noise, transient) of that design: assembly
-// becomes a flat walk writing into a value array — no dense zero-fill, no
+// the AC, noise and transient analyses of that design: assembly becomes
+// a flat walk writing into a value array — no dense zero-fill, no
 // coordinate lookup — and la::SparseLu factors over the fixed pattern
-// with symbolic reuse across Newton iterations, frequency points and
-// timesteps.
+// with symbolic reuse across frequency points, timesteps and transient
+// Newton iterations. DC Newton always runs on the dense LU, which
+// measures faster at these dimensions.
 //
 // The pattern is the union of every stamp any analysis writes (resistor /
 // capacitor quads, MOS small-signal and capacitance stamps, vsource
@@ -25,11 +26,11 @@
 
 namespace gcnrl::sim {
 
-// Process-wide engine toggle. Defaults to the GCNRL_SPARSE environment
-// variable (unset or any value but "0" = enabled); tests and benches
-// override it programmatically. Engines fall back to the dense path per
-// analysis when a sparse factorization is rejected regardless of this
-// flag, so disabling it only forces the legacy path unconditionally.
+// Process-wide engine toggle, on by default; no environment variable or
+// option sets it. The AC, noise and transient analyses run sparse and
+// pick their dense path only when a sparse factorization is rejected.
+// Turning the toggle off forces those dense fallbacks unconditionally:
+// it is the one seam through which tests and micro_sim reach them.
 bool sparse_engine_enabled();
 void set_sparse_engine_enabled(bool on);
 
@@ -95,7 +96,7 @@ inline void add_vccs(double* vals, const VccsSlots& s, double g) {
   if (s.nn >= 0) vals[s.nn] += g;
 }
 
-// MOS small-signal stamp in the DC/transient Jacobian's fused form
+// MOS small-signal stamp in the transient Jacobian's fused form
 // (d(id)/dvs = -(gm + gds) added as one term, exactly like the dense
 // Newton assembly — not as separate VCCS + conductance adds).
 inline void add_mos_g(double* vals, const MosSlots& ms, double gm,

@@ -338,71 +338,16 @@ TEST(EvalConfig, ReadsEnvironmentKnobs) {
   {
     ScopedEnv t("GCNRL_EVAL_THREADS", "4");
     ScopedEnv c("GCNRL_EVAL_CACHE", "128");
-    ScopedEnv w("GCNRL_DC_WARM_START", "1");
     const auto cfg = env::eval_config_from_env();
     EXPECT_EQ(cfg.threads, 4);
     EXPECT_EQ(cfg.cache_capacity, 128u);
-    EXPECT_TRUE(cfg.dc_warm_start);
   }
   {
     ScopedEnv t("GCNRL_EVAL_THREADS", nullptr);
     ScopedEnv c("GCNRL_EVAL_CACHE", nullptr);
-    ScopedEnv w("GCNRL_DC_WARM_START", nullptr);
     const auto dflt = env::eval_config_from_env();
     EXPECT_EQ(dflt.threads, 1);  // default: serial
     EXPECT_EQ(dflt.cache_capacity, 4096u);
-    EXPECT_FALSE(dflt.dc_warm_start);  // history-dependent: opt-in only
-  }
-}
-
-// Cross-design DC warm start (EvalServiceConfig::dc_warm_start) on a real
-// circuit: results must stay within solver tolerance of the cold path —
-// Newton converges to the same operating point from either start — and,
-// because banks are snapshotted at submission and committed in submission
-// order, the warm mode itself must be bit-identical across thread counts.
-TEST(EvalService, DcWarmStartMatchesColdAndIsThreadCountInvariant) {
-  const auto tech = circuit::make_technology("180nm");
-  // Optimizer-like trajectory: perturbations around one base design, fed
-  // first one-by-one (bank handover across batches) and then as a single
-  // batch (every fresh job shares the pre-batch snapshot).
-  const auto run = [&](int threads, bool warm) {
-    env::EvalServiceConfig cfg;
-    cfg.threads = threads;
-    cfg.cache_capacity = 0;  // every design simulates
-    cfg.dc_warm_start = warm;
-    env::SizingEnv e(gcnrl::circuits::make_two_tia(tech),
-                     env::IndexMode::OneHot, cfg);
-    Rng rng(31);
-    const la::Mat base = e.random_actions(rng);
-    std::vector<la::Mat> traj(6, base);
-    for (auto& a : traj) {
-      for (int i = 0; i < a.rows(); ++i) {
-        for (int j = 0; j < a.cols(); ++j) a(i, j) += 0.05 * rng.normal();
-      }
-    }
-    std::vector<env::EvalResult> out;
-    for (int k = 0; k < 3; ++k) out.push_back(e.step(traj[k]));
-    const std::vector<la::Mat> rest(traj.begin() + 3, traj.end());
-    for (auto& r : e.step_batch(rest)) out.push_back(std::move(r));
-    return out;
-  };
-
-  const auto cold = run(1, false);
-  const auto warm1 = run(1, true);
-  const auto warm4 = run(4, true);
-  ASSERT_EQ(cold.size(), warm1.size());
-  ASSERT_EQ(warm1.size(), warm4.size());
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    EXPECT_EQ(cold[i].sim_ok, warm1[i].sim_ok) << i;
-    for (const auto& [name, v] : cold[i].metrics) {
-      const auto it = warm1[i].metrics.find(name);
-      ASSERT_NE(it, warm1[i].metrics.end()) << name;
-      EXPECT_NEAR(v, it->second, 1e-2 * std::max(1.0, std::fabs(v)))
-          << name << " design " << i;
-    }
-    // Warm mode vs itself across thread counts: bitwise.
-    EXPECT_EQ(warm1[i].fom, warm4[i].fom) << i;
-    EXPECT_EQ(warm1[i].metrics, warm4[i].metrics) << i;
   }
 }
 

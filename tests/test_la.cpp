@@ -340,9 +340,9 @@ TEST(SparseLu, SolveTransposedMatchesDense) {
 }
 
 // A fixed-pivot refactorization on new values must reproduce a fresh
-// factorization of those values bitwise — this is what makes the DC warm
-// path, the transient loop, and the AC sweep deterministic regardless of
-// how many designs a SparseLu has already factored.
+// factorization of those values bitwise — this is what makes the
+// transient loop and the AC sweep deterministic regardless of how many
+// designs a SparseLu has already factored.
 TEST(SparseLu, RefactorMatchesFreshFactorBitwise) {
   Rng rng(303);
   const int n = 16;

@@ -2,7 +2,9 @@
 // transient and noise on circuits with known analytical answers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -360,6 +362,55 @@ TEST(Meas, Logspace) {
 
 // --- G/C split and DC warm start ------------------------------------------
 
+namespace {
+
+// The legacy single-pass AC assembly (one netlist walk per frequency),
+// kept here as the reference for the split G/C assembly the solvers use.
+la::CMat build_ac_matrix(const sim::SimContext& ctx, const sim::OpPoint& op,
+                         double omega) {
+  using cd = std::complex<double>;
+  const sim::MnaMap& m = ctx.map;
+  const circuit::Netlist& nl = ctx.nl;
+  la::CMat y(m.dim(), m.dim());
+
+  for (const auto& res : nl.resistors()) {
+    sim::stamp_conductance(y, m, res.a, res.b,
+                           cd(1.0 / std::max(res.r, sim::kMinResistance)));
+  }
+  for (const auto& cap : nl.capacitors()) {
+    sim::stamp_conductance(y, m, cap.a, cap.b, cd(0.0, omega * cap.c));
+  }
+  for (std::size_t k = 0; k < nl.mosfets().size(); ++k) {
+    const auto& mos = nl.mosfets()[k];
+    const sim::MosOp& mop = op.mos[k];
+    const sim::MosCaps& c = op.caps[k];
+    sim::stamp_vccs(y, m, mos.d, mos.s, mos.g, mos.s, cd(mop.gm));
+    sim::stamp_conductance(y, m, mos.d, mos.s, cd(mop.gds));
+    sim::stamp_conductance(y, m, mos.g, mos.s, cd(0.0, omega * c.cgs));
+    sim::stamp_conductance(y, m, mos.g, mos.d, cd(0.0, omega * c.cgd));
+    sim::stamp_conductance(y, m, mos.d, mos.b, cd(0.0, omega * c.cdb));
+    sim::stamp_conductance(y, m, mos.s, mos.b, cd(0.0, omega * c.csb));
+  }
+  for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
+    const auto& src = nl.vsources()[k];
+    const int b = m.branch(static_cast<int>(k));
+    if (m.v(src.p) >= 0) {
+      y(m.v(src.p), b) += 1.0;
+      y(b, m.v(src.p)) += 1.0;
+    }
+    if (m.v(src.n) >= 0) {
+      y(m.v(src.n), b) -= 1.0;
+      y(b, m.v(src.n)) -= 1.0;
+    }
+  }
+  for (int node = 1; node < m.num_nodes(); ++node) {
+    y(m.v(node), m.v(node)) += cd(1e-12);
+  }
+  return y;
+}
+
+}  // namespace
+
 // The split assembly Y = G + j*omega*C must reproduce the legacy
 // walk-per-frequency matrix on every benchmark circuit: real parts are
 // accumulated in the identical order (bitwise equal); imaginary parts
@@ -375,7 +426,7 @@ TEST(Ac, SplitStampsMatchLegacyAssembly) {
     const sim::AcStamps stamps = sim::build_ac_stamps(s.context(), op);
     for (const double f : {1e2, 1e5, 1e8, 1e10}) {
       const double omega = 2.0 * M_PI * f;
-      const la::CMat legacy = sim::build_ac_matrix(s.context(), op, omega);
+      const la::CMat legacy = build_ac_matrix(s.context(), op, omega);
       const la::CMat split = sim::assemble_ac_matrix(stamps, omega);
       ASSERT_EQ(legacy.rows(), split.rows());
       for (int i = 0; i < legacy.rows(); ++i) {
@@ -549,9 +600,10 @@ TEST(Sparse, AllAnalysesAgreeWithDense) {
   }
 }
 
-// A structurally singular system must not crash the sparse engine: it
-// counts a fallback, reruns densely, and the dense path reports the same
-// SimError the legacy engine always threw.
+// A structurally singular system must not crash the sparse engine. DC
+// runs dense only, so it throws SimError without counting a fallback; the
+// AC sweep counts a fallback, reruns densely, and the dense path reports
+// the same SimError the legacy engine always threw.
 TEST(Sparse, SingularCircuitFallsBackThenFailsCleanly) {
   circuit::Netlist nl;
   const int a = nl.node("a");
@@ -561,7 +613,48 @@ TEST(Sparse, SingularCircuitFallsBackThenFailsCleanly) {
   sim::sim_perf_reset();
   sim::Simulator s(nl, kTech);
   EXPECT_THROW(s.op(), sim::SimError);
-  EXPECT_GE(sim::sim_perf_snapshot().dc.sparse_fallbacks, 1);
+  EXPECT_EQ(sim::sim_perf_snapshot().dc.sparse_fallbacks, 0);
+
+  // The DC solve (correctly) fails, so hand AC a zero operating point.
+  sim::OpPoint op;
+  op.v.assign(2, 0.0);
+  op.branch_i.assign(2, 0.0);
+  try {
+    sim::solve_ac(s.context(), op, {1e3});
+    FAIL() << "expected SimError";
+  } catch (const sim::SimError& e) {
+    EXPECT_STREQ(e.what(), "AC matrix singular at f=1.000000e+03 Hz");
+  }
+  EXPECT_EQ(sim::sim_perf_snapshot().ac.sparse_fallbacks, 1);
+  sim::sim_perf_reset();
+}
+
+// A singular noise sweep fails as a SimError on either engine, like the
+// AC sweep: EvalService counts only SimError as a failed design, and any
+// other exception (la::SingularMatrixError from the dense LU) would end
+// the whole batch. The failed sweep is still recorded.
+TEST(Noise, SingularMatrixFailsAsSimError) {
+  circuit::Netlist nl;
+  const int a = nl.node("a");
+  nl.add_vsource("V1", a, 0, 1.0);
+  nl.add_vsource("V2", a, 0, 2.0);
+  sim::Simulator s(nl, kTech);
+  sim::OpPoint op;
+  op.v.assign(2, 0.0);
+  op.branch_i.assign(2, 0.0);
+  for (const bool sparse : {false, true}) {
+    SparseEngineGuard guard(sparse);
+    sim::sim_perf_reset();
+    try {
+      sim::solve_noise(s.context(), op, {1e3}, a, 0);
+      FAIL() << "expected SimError (sparse=" << sparse << ")";
+    } catch (const sim::SimError& e) {
+      EXPECT_STREQ(e.what(), "noise matrix singular at f=1.000000e+03 Hz");
+    }
+    const sim::SimPerf p = sim::sim_perf_snapshot();
+    EXPECT_EQ(p.noise.calls, 1) << "sparse=" << sparse;
+    EXPECT_EQ(p.noise.sparse_fallbacks, sparse ? 1 : 0);
+  }
   sim::sim_perf_reset();
 }
 
@@ -818,7 +911,10 @@ std::uint64_t ldo_transient_digest(const gcnrl::env::BenchmarkCircuit& bc,
 // and 16 seeded random designs, on both engines, must hash to the digests
 // captured before the transient learned to replay settled steps: the
 // replay may skip work, never change a bit. The digests depend on the
-// platform's libm and on the build having no FMA contraction.
+// platform's libm and on the build having no FMA contraction. Sparse
+// designs 1, 3, 4 and 11 were re-captured when DC became dense-only:
+// their t=0 initial condition moved at rounding level, which the sparse
+// transient carries into its waveform. kDense was already on dense DC.
 TEST(Tran, WaveformsMatchParentDigests) {
   constexpr int kDesigns = 17;  // human expert, then 16 random designs
   constexpr std::uint64_t kDense[kDesigns] = {
@@ -829,10 +925,10 @@ TEST(Tran, WaveformsMatchParentDigests) {
       0xe1c0d0be0e2af6de, 0xff5260e8fbaa3262, 0x8e1659580d8f8875,
       0x4761746dfa7c9e5f, 0x19cd402ae1d7a59c};
   constexpr std::uint64_t kSparse[kDesigns] = {
-      0x7be3aa027eec067f, 0xcdb535a7bb104223, 0x8b318fd089060d1b,
-      0x003e09a3dff56cfd, 0x7f1f6fd6ebeb1212, 0x10d47b0d597ece94,
+      0x7be3aa027eec067f, 0xb032b6ec52e136c3, 0x8b318fd089060d1b,
+      0x5bdaa91836b726b6, 0x35c6a404ab27d43a, 0x10d47b0d597ece94,
       0xf41498319d841e00, 0x737f42f5d88e9acc, 0x24fa1d120e51f4b9,
-      0xc23d06fd1fa0a5fe, 0x94a5711416a6ca07, 0xaf81949413e3d4d5,
+      0xc23d06fd1fa0a5fe, 0x94a5711416a6ca07, 0x49a2540c0e4e262b,
       0x9fb1fc81c7ce7045, 0x02ca2defc26a1045, 0x943b7273566e51ea,
       0xf6bec7f0626177e7, 0x19cd402ae1d7a59c};
   const auto bc = gcnrl::circuits::make_ldo(kTech);
