@@ -155,8 +155,8 @@ BENCHMARK_CAPTURE(BM_SingleEval_PerAnalysis, ldo, "LDO")
 // seed-steps (one simulation each, cache disabled); agents stay in their
 // warm-up phase so the number measures the sweep engine + simulator, not
 // network updates. On an N-core machine the multi-thread rows should pull
-// ahead of serial — this is the "seeds/sec" scaling number behind the
-// parallel bench::sweep path.
+// ahead of serial — this is the "seeds/sec" scaling number behind
+// api::run_tasks' lockstep DDPG groups.
 void BM_DdpgLockstep_TwoTia(benchmark::State& state) {
   env::EvalServiceConfig cfg;
   cfg.threads = static_cast<int>(state.range(0));

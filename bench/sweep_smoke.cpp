@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "common.hpp"
+#include "api/api.hpp"
 
 using namespace gcnrl;
 
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
       std::make_shared<env::EvalService>(env::eval_config_from_env());
 
   std::printf("sweep smoke: Two-TIA, steps=%d, seeds=%d\n%s\n", steps, seeds,
-              bench::eval_banner().c_str());
+              api::eval_banner().c_str());
 
   // Pass 1 cold, ES first; pass 2 on the now-warm cache with the RL
   // method first and the budget consumers listed BEFORE their ES source.
@@ -138,6 +138,6 @@ int main(int argc, char** argv) {
     std::printf("SHAPE MISMATCH in %d sweep(s)\n",
                 pass1.shape_failures + pass2.shape_failures);
   }
-  std::printf("%s\n", bench::service_usage(*svc).c_str());
+  std::printf("%s\n", api::service_usage(*svc).c_str());
   return failures == 0 ? 0 : 1;
 }

@@ -3,11 +3,12 @@
 //   registry.hpp     CircuitRegistry / MethodRegistry extension points
 //   checkpoints.hpp  CheckpointStore — named, stamped weight artifacts
 //                    (the zoo TaskSpec::save/load_checkpoint addresses)
-//   task.hpp      TaskSpec / TaskResult / run_tasks planner + the
-//                 per-factory building blocks (EnvFactory, LockstepGroup,
-//                 sweep, run_method) and reporting helpers
+//   task.hpp      TaskSpec / TaskResult / run_tasks planner, the
+//                 calibrated EnvFactory it builds envs from, and the
+//                 reporting helpers
 //   spec.hpp      declarative task-spec files (schema + parser), the
-//                 format gcnrl_cli consumes
+//                 format gcnrl_cli consumes; the paper's experiments ship
+//                 as specs/paper/*.json
 //
 // Typical use:
 //

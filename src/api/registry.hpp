@@ -3,11 +3,11 @@
 //   CircuitRegistry — name -> BenchmarkCircuit builder. The four paper
 //   benchmarks (Fig. 6) are pre-registered in the paper's table order;
 //   user code adds its own circuits with register_circuit() (or a static
-//   CircuitRegistrar) and they become addressable from TaskSpec::circuit,
-//   bench harnesses, and gcnrl_cli spec files without touching the
-//   library. circuits::make_benchmark()/benchmark_names() are thin shims
-//   over this registry (defined in registry.cpp — the registry TU is the
-//   one home of cross-circuit dispatch).
+//   CircuitRegistrar) and they become addressable from TaskSpec::circuit
+//   and gcnrl_cli spec files without touching the library.
+//   circuits::make_benchmark()/benchmark_names() are thin shims over this
+//   registry (defined in registry.cpp — the registry TU is the one home
+//   of cross-circuit dispatch).
 //
 //   MethodRegistry — name -> MethodInfo descriptor unifying the paper's
 //   methods behind one dispatch surface. A method is one of four kinds:

@@ -1,14 +1,12 @@
-// Implementation of the task planner (run_tasks) and the per-factory
-// building blocks it is made of (EnvFactory, LockstepGroup, run_method,
-// sweep). One internal engine — run_group() — executes a set of planned
-// tasks on a shared EvalService; sweep() feeds it a single task and
-// run_tasks() a whole heterogeneous stage, so the two paths are
-// structurally identical and per-task results cannot diverge between
-// them.
+// Implementation of the task planner (run_tasks): validation, one
+// calibrated EnvFactory per calibration tuple, dependency levels, and one
+// engine — run_group() — that executes a level's tasks on the shared
+// EvalService through the lockstep drivers.
 #include "api/task.hpp"
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -23,16 +21,11 @@ EnvFactory::EnvFactory(std::string circuit_name,
                        const circuit::Technology& tech, env::IndexMode mode,
                        int calib_samples, Rng& rng,
                        std::shared_ptr<env::EvalService> svc)
-    : name_(std::move(circuit_name)),
-      tech_(tech),
-      mode_(mode),
-      svc_(std::move(svc)) {
-  env::SizingEnv probe(build_circuit(name_, tech_), mode_, svc_);
+    : name_(std::move(circuit_name)), tech_(tech), mode_(mode) {
+  env::SizingEnv probe(build_circuit(name_, tech_), mode_, std::move(svc));
   probe.calibrate(calib_samples, rng);
   fom_ = probe.bench().fom;
 }
-
-std::unique_ptr<env::SizingEnv> EnvFactory::make() const { return make(svc_); }
 
 std::unique_ptr<env::SizingEnv> EnvFactory::make(
     std::shared_ptr<env::EvalService> svc) const {
@@ -40,38 +33,6 @@ std::unique_ptr<env::SizingEnv> EnvFactory::make(
   bc.fom = fom_;
   return std::make_unique<env::SizingEnv>(std::move(bc), mode_,
                                           std::move(svc));
-}
-
-LockstepGroup::LockstepGroup(const EnvFactory& factory,
-                             std::vector<LockstepSpec> specs) {
-  // All pairs share one service so run_ddpg_lockstep batches them as one
-  // group (it would transparently split them otherwise).
-  std::shared_ptr<env::EvalService> svc = factory.service();
-  if (!svc) {
-    svc = std::make_shared<env::EvalService>(env::eval_config_from_env());
-  }
-  for (LockstepSpec& spec : specs) {
-    envs_.push_back(factory.make(svc));
-    if (spec.setup) spec.setup(*envs_.back());
-    agents_.push_back(std::make_unique<rl::DdpgAgent>(
-        envs_.back()->state(), envs_.back()->adjacency(),
-        envs_.back()->kinds(), spec.cfg, spec.rng));
-    if (spec.copy_from != nullptr) {
-      agents_.back()->copy_weights_from(*spec.copy_from);
-    }
-  }
-}
-
-std::vector<rl::RunResult> LockstepGroup::run(int steps) {
-  std::vector<env::SizingEnv*> env_ptrs;
-  std::vector<rl::DdpgAgent*> agent_ptrs;
-  env_ptrs.reserve(envs_.size());
-  agent_ptrs.reserve(agents_.size());
-  for (std::size_t i = 0; i < envs_.size(); ++i) {
-    env_ptrs.push_back(envs_[i].get());
-    agent_ptrs.push_back(agents_[i].get());
-  }
-  return rl::run_ddpg_lockstep(env_ptrs, agent_ptrs, steps);
 }
 
 std::uint64_t seed_of(int s) {
@@ -97,8 +58,7 @@ rl::RunResult run_anchor(env::SizingEnv& env) {
 }
 
 // The per-seed RNG seed of a task: the custom ladder when the spec sets
-// one (the migrated transfer harnesses' historical seeds), else the
-// canonical seed_of(s).
+// one, else the canonical seed_of(s).
 std::uint64_t task_seed(const TaskSpec& t, int s) {
   if (t.seed_base) {
     return *t.seed_base + t.seed_stride * static_cast<std::uint64_t>(s);
@@ -121,6 +81,19 @@ struct TaskPlan {
   // (pretrain sources for later levels, checkpoint saves).
   std::vector<std::unique_ptr<rl::DdpgAgent>>* keep = nullptr;
   std::vector<rl::RunResult>* out = nullptr;
+
+  // A fresh env for one seed: the shared calibration plus the task's FoM
+  // override.
+  [[nodiscard]] std::unique_ptr<env::SizingEnv> make_env(
+      const std::shared_ptr<env::EvalService>& svc) const {
+    auto env = factory->make(svc);
+    env::FomSpec& fom = env->bench().fom;
+    if (spec->fom.enforce_spec) fom.enforce_spec = *spec->fom.enforce_spec;
+    for (const auto& [name, weight] : spec->fom.weights) {
+      fom.set_weight(name, weight);
+    }
+    return env;
+  }
 };
 
 // Executes a stage of planned tasks on one shared service. All DDPG-kind
@@ -153,7 +126,7 @@ void run_group(std::vector<TaskPlan>& plans,
     switch (plan.mi->kind) {
       case MethodKind::Ddpg:
         for (int s = 0; s < t.seeds; ++s) {
-          rl_envs.push_back(plan.factory->make(svc));
+          rl_envs.push_back(plan.make_env(svc));
           rl::DdpgConfig cfg = t.ddpg;
           if (plan.mi->configure) plan.mi->configure(cfg);
           cfg.warmup = t.warmup;
@@ -167,7 +140,7 @@ void run_group(std::vector<TaskPlan>& plans,
         break;
       case MethodKind::AskTell:
         for (int s = 0; s < t.seeds; ++s) {
-          bb_envs.push_back(plan.factory->make(svc));
+          bb_envs.push_back(plan.make_env(svc));
           bb_opts.push_back(plan.mi->make_optimizer(
               bb_envs.back()->flat_dim(), Rng(task_seed(t, s))));
           const long max_sims =
@@ -181,14 +154,14 @@ void run_group(std::vector<TaskPlan>& plans,
         break;
       case MethodKind::Random:
         for (int s = 0; s < t.seeds; ++s) {
-          auto env = plan.factory->make(svc);
+          auto env = plan.make_env(svc);
           (*plan.out)[static_cast<std::size_t>(s)] =
               rl::run_random(*env, t.steps, Rng(task_seed(t, s)));
         }
         break;
       case MethodKind::Anchor:
         for (int s = 0; s < t.seeds; ++s) {
-          auto env = plan.factory->make(svc);
+          auto env = plan.make_env(svc);
           (*plan.out)[static_cast<std::size_t>(s)] = run_anchor(*env);
         }
         break;
@@ -250,6 +223,21 @@ std::vector<TaskResult> run_tasks(const std::vector<TaskSpec>& tasks,
       t.circuit = declared;
     }
     require_circuit(t.circuit);  // throws listing registered names
+    if (!t.fom.weights.empty()) {
+      const env::FomSpec fom =
+          build_circuit(t.circuit, circuit::make_technology(t.node)).fom;
+      for (const auto& [name, weight] : t.fom.weights) {
+        if (fom.find(name) != nullptr) continue;
+        std::string known;
+        for (const env::MetricDef& md : fom.metrics) {
+          known += known.empty() ? md.name : ", " + md.name;
+        }
+        throw std::invalid_argument(
+            "run_tasks: task \"" + t.method + "/" + t.circuit +
+            "\": fom weight names unknown metric \"" + name +
+            "\" (known: " + known + ")");
+      }
+    }
     if (t.steps <= 0) {
       throw std::invalid_argument("run_tasks: task \"" + t.method + "/" +
                                   t.circuit + "\" needs steps > 0");
@@ -377,7 +365,7 @@ std::vector<TaskResult> run_tasks(const std::vector<TaskSpec>& tasks,
     }
   }
   // budget_src: the budget-chain rule (BO/MACE -> ES). Absent source =
-  // uncapped (mirrors sweep_chained with an empty budget vector).
+  // uncapped.
   const auto chained = [&](std::size_t i) {
     return !infos[i]->budget_from.empty() && specs[i].sim_budget == 0;
   };
@@ -536,96 +524,6 @@ std::vector<TaskResult> run_tasks(const std::vector<TaskSpec>& tasks,
     out.push_back(std::move(tr));
   }
   return out;
-}
-
-rl::RunResult run_method(const std::string& method, const EnvFactory& factory,
-                         int steps, int warmup, std::uint64_t seed,
-                         long sim_budget, const rl::DdpgConfig& base_cfg,
-                         std::shared_ptr<env::EvalService> svc) {
-  const MethodInfo& mi = method_info(method);
-  auto env = svc ? factory.make(std::move(svc)) : factory.make();
-  Rng rng(seed);
-  switch (mi.kind) {
-    case MethodKind::Anchor:
-      return run_anchor(*env);
-    case MethodKind::Random:
-      return rl::run_random(*env, steps, rng);
-    case MethodKind::AskTell: {
-      const auto opt = mi.make_optimizer(env->flat_dim(), std::move(rng));
-      return rl::run_optimizer(*env, *opt, steps,
-                               sim_budget > 0 ? sim_budget : -1);
-    }
-    case MethodKind::Ddpg: {
-      rl::DdpgConfig cfg = base_cfg;
-      if (mi.configure) mi.configure(cfg);
-      cfg.warmup = warmup;
-      rl::DdpgAgent agent(env->state(), env->adjacency(), env->kinds(), cfg,
-                          rng);
-      return rl::run_ddpg(*env, agent, steps);
-    }
-  }
-  throw std::logic_error("run_method: unhandled method kind");
-}
-
-SweepResult sweep(const std::string& method, const EnvFactory& factory,
-                  int steps, int warmup, int seeds,
-                  std::span<const long> sim_budgets,
-                  const rl::DdpgConfig& base_cfg) {
-  if (!sim_budgets.empty() &&
-      sim_budgets.size() != static_cast<std::size_t>(seeds)) {
-    throw std::invalid_argument("sweep: need one sim budget per seed");
-  }
-  // All S seeds share one service — its thread pool and its result cache.
-  // FoM values never depend on cache state (raw metrics are cached, the
-  // FoM is recomputed per env) and budgets count run-local simulated cost
-  // (RunResult::sims, warmth-independent by construction), so every
-  // per-seed trace is bit-identical to a fully isolated run of the same
-  // seed, whatever ran on the service before.
-  std::shared_ptr<env::EvalService> svc = factory.service();
-  if (!svc) {
-    svc = std::make_shared<env::EvalService>(env::eval_config_from_env());
-  }
-  TaskSpec spec;
-  spec.circuit = factory.name();
-  spec.method = method;
-  spec.steps = steps;
-  spec.warmup = warmup;
-  spec.seeds = seeds;
-  spec.ddpg = base_cfg;
-  std::vector<rl::RunResult> results;
-  std::vector<TaskPlan> plans;
-  TaskPlan plan;
-  plan.spec = &spec;
-  plan.mi = &method_info(method);
-  plan.factory = &factory;
-  plan.budgets.assign(sim_budgets.begin(), sim_budgets.end());
-  plan.out = &results;
-  plans.push_back(std::move(plan));
-  run_group(plans, svc);
-
-  SweepResult out;
-  for (rl::RunResult& r : results) {
-    out.best.push_back(r.best_fom);
-    out.sims.push_back(r.sims);
-    out.traces.push_back(std::move(r.best_trace));
-  }
-  out.mean = la::mean(out.best);
-  out.stddev = la::stddev(out.best);
-  return out;
-}
-
-SweepResult sweep_chained(const std::string& method, const EnvFactory& factory,
-                          int steps, int warmup, int seeds,
-                          std::vector<long>& es_sims,
-                          const rl::DdpgConfig& base_cfg) {
-  const MethodInfo& mi = method_info(method);
-  const bool budgeted = !mi.budget_from.empty();
-  SweepResult sw = sweep(
-      method, factory, steps, warmup, seeds,
-      budgeted ? std::span<const long>(es_sims) : std::span<const long>{},
-      base_cfg);
-  if (method == "ES") es_sims = sw.sims;
-  return sw;
 }
 
 std::string eval_banner() {

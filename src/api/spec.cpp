@@ -261,6 +261,29 @@ env::IndexMode as_mode(const JsonValue& v, const std::string& key) {
   schema_fail(v, "\"" + key + "\" must be \"one_hot\" or \"scalar\"");
 }
 
+FomOverride bind_fom(const JsonValue& v) {
+  FomOverride out;
+  for (const auto& [key, val] : as_object(v, "\"fom\"")) {
+    if (key == "enforce_spec") {
+      const auto* b = std::get_if<bool>(&val.v);
+      if (b == nullptr) schema_fail(val, "\"enforce_spec\" must be a boolean");
+      out.enforce_spec = *b;
+    } else if (key == "weights") {
+      for (const auto& [metric, w] : as_object(val, "\"weights\"")) {
+        const auto* d = std::get_if<double>(&w.v);
+        if (d == nullptr) {
+          schema_fail(w, "weight \"" + metric + "\" must be a number");
+        }
+        out.weights[metric] = *d;
+      }
+    } else {
+      schema_fail(val, "unknown fom key \"" + key +
+                           "\" (known: enforce_spec, weights)");
+    }
+  }
+  return out;
+}
+
 TaskSpec bind_task(const JsonValue& v, std::size_t index) {
   const JsonObject& obj =
       as_object(v, "tasks[" + std::to_string(index) + "]");
@@ -306,13 +329,15 @@ TaskSpec bind_task(const JsonValue& v, std::size_t index) {
       const long stride = as_integer(val, key);
       if (stride < 0) schema_fail(val, "\"seed_stride\" must be non-negative");
       t.seed_stride = static_cast<std::uint64_t>(stride);
+    } else if (key == "fom") {
+      t.fom = bind_fom(val);
     } else {
       schema_fail(val, "unknown task key \"" + key +
                            "\" (known: circuit, circuit_file, method, node, "
                            "steps, warmup, seeds, sim_budget, label, "
                            "pretrain_from, load_checkpoint, "
                            "save_checkpoint, mode, calib_group, seed_base, "
-                           "seed_stride)");
+                           "seed_stride, fom)");
     }
   }
   if (!have_circuit) {

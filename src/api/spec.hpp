@@ -46,7 +46,12 @@
 //       "calib_group": "dir2",    // calibration-sharing tag: a distinct
 //                                 // tag forces a fresh FoM calibration
 //       "seed_base":   900,       // per-seed RNG override: seed s uses
-//       "seed_stride": 31         // seed_base + seed_stride * s
+//       "seed_stride": 31,        // seed_base + seed_stride * s
+//
+//       "fom": {                  // per-task FoM override, applied after
+//         "enforce_spec": false,  // calibration (normalizers stay
+//         "weights": {"bw": 10}   // shared); both members optional, a
+//       }                         // weight must name a circuit metric
 //     }
 //   ]
 // }

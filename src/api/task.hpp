@@ -20,10 +20,9 @@
 //                    -> ES) runs after its source task — same circuit,
 //                    node, steps, and seeds, anywhere in the list — and
 //                    uses that task's per-seed RunResult::sims as its
-//                    stopping budgets. A missing source means no cap
-//                    (matching sweep_chained with an empty budget vector);
-//                    an explicit TaskSpec::sim_budget > 0 short-circuits
-//                    the chain.
+//                    stopping budgets. A missing source means no cap; an
+//                    explicit TaskSpec::sim_budget > 0 short-circuits the
+//                    chain.
 //   pretrain chains  a task with `pretrain_from` (the paper's transfer
 //                    protocol, Tables IV/V) runs after the in-list task
 //                    with that label; the planner retains the source's
@@ -37,22 +36,20 @@
 // Calibration: FoM normalizers are calibrated once per distinct
 // (circuit, node, index mode, calib_group) tuple appearing in the task
 // list, in first-appearance order, drawing from a single
-// Rng(RunOptions::calib_seed) — exactly the protocol of the pre-existing
-// table harnesses, so migrated harnesses reproduce their numbers
-// byte-for-byte. Corollary: task results are invariant under any
-// permutation of the task list that keeps the first-appearance order of
-// distinct calibration tuples; reordering the groups changes which
-// calibration draws each circuit receives (deterministically so — the
-// same list always reproduces itself).
+// Rng(RunOptions::calib_seed). Corollary: task results are invariant
+// under any permutation of the task list that keeps the first-appearance
+// order of distinct calibration tuples; reordering the groups changes
+// which calibration draws each circuit receives (deterministically so —
+// the same list always reproduces itself).
 //
-// The lower-level pieces (EnvFactory, LockstepGroup, sweep, run_method)
-// stay public as the harness-composition layer; since the transfer
-// harnesses moved onto run_tasks they are exercised through the planner
-// itself.
+// Per-task FoM overrides (TaskSpec::fom) are applied to the task's envs
+// after calibration and are not part of the calibration tuple: a task that
+// reweights the FoM keeps the normalizers every other task on its circuit
+// sees.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -69,68 +66,30 @@ class CheckpointStore;
 
 // A calibrated environment factory: builds fresh envs for a circuit while
 // sharing one FoM calibration (normalizers must be identical across
-// methods for a comparison to be meaningful).
-//
-// When constructed with a shared EvalService, every env the factory makes
-// — including the calibration probe — evaluates through that service, so a
-// whole harness shares one thread pool and one result cache. Without one,
-// each env gets a private service from the GCNRL_EVAL_* knobs.
+// methods for a comparison to be meaningful). The calibration probe
+// evaluates on `svc` (a private service from the GCNRL_EVAL_* knobs when
+// null); every env is built on the service make() is given.
 class EnvFactory {
  public:
   EnvFactory(std::string circuit_name, const circuit::Technology& tech,
              env::IndexMode mode, int calib_samples, Rng& rng,
              std::shared_ptr<env::EvalService> svc = nullptr);
 
-  // Env on the factory's own service (private per-env when none was set).
-  [[nodiscard]] std::unique_ptr<env::SizingEnv> make() const;
-  // Env on an explicit shared service (the lockstep sweeps use this to put
-  // all S seed-envs of a group on one service).
   [[nodiscard]] std::unique_ptr<env::SizingEnv> make(
       std::shared_ptr<env::EvalService> svc) const;
-
-  [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] const env::FomSpec& fom() const { return fom_; }
-  [[nodiscard]] const std::shared_ptr<env::EvalService>& service() const {
-    return svc_;
-  }
 
  private:
   std::string name_;
   circuit::Technology tech_;
   env::IndexMode mode_;
   env::FomSpec fom_;
-  std::shared_ptr<env::EvalService> svc_;
 };
 
-// One (agent config, RNG, optional weight source) spec of a lockstep
-// group. `setup`, when set, runs on the freshly built env before the agent
-// is constructed (e.g. to tweak the FoM spec per pair); `copy_from`, when
-// non-null, seeds the agent's weights from a pretrained agent.
-struct LockstepSpec {
-  rl::DdpgConfig cfg;
-  Rng rng;
-  rl::DdpgAgent* copy_from = nullptr;
-  std::function<void(env::SizingEnv&)> setup;
-};
-
-// S (env, agent) pairs built from one factory onto one shared EvalService
-// (the factory's, or a group-local one when the factory has none), stepped
-// together through rl::run_ddpg_lockstep. The group owns its envs and
-// agents — pretraining harnesses keep it alive and hand its agents to
-// later groups as `copy_from` sources.
-class LockstepGroup {
- public:
-  LockstepGroup(const EnvFactory& factory, std::vector<LockstepSpec> specs);
-
-  std::vector<rl::RunResult> run(int steps);
-
-  [[nodiscard]] std::size_t size() const { return agents_.size(); }
-  [[nodiscard]] rl::DdpgAgent& agent(std::size_t i) { return *agents_[i]; }
-  [[nodiscard]] env::SizingEnv& env(std::size_t i) { return *envs_[i]; }
-
- private:
-  std::vector<std::unique_ptr<env::SizingEnv>> envs_;
-  std::vector<std::unique_ptr<rl::DdpgAgent>> agents_;
+// A per-task change to the circuit's FoM (paper Table II's weighted
+// rows). Unset members keep the circuit's own values.
+struct FomOverride {
+  std::optional<bool> enforce_spec;
+  std::map<std::string, double> weights;  // metric name -> new weight
 };
 
 // --- the task protocol ----------------------------------------------------
@@ -184,14 +143,17 @@ struct TaskSpec {
   // Calibration-sharing tag: tasks share a calibrated factory per distinct
   // (circuit, node, mode, calib_group). A distinct tag forces a fresh
   // calibration with its own draws from the shared calibration RNG (the
-  // topology-transfer harnesses recalibrate per direction this way).
+  // topology-transfer specs recalibrate per direction this way).
   std::string calib_group;
   // Per-seed RNG override: seed s uses seed_base + seed_stride * s when
-  // seed_base is set (the migrated harnesses' historical seed ladders);
-  // unset -> canonical seed_of(s). seed_stride without seed_base is
-  // rejected.
+  // seed_base is set (the paper specs' seed ladders); unset -> canonical
+  // seed_of(s). seed_stride without seed_base is rejected.
   std::optional<std::uint64_t> seed_base;
   std::uint64_t seed_stride = 0;
+  // Applied to every env of the task after calibration; not part of the
+  // calibration tuple. A weight naming a metric the circuit lacks fails
+  // validation.
+  FomOverride fom;
 };
 
 // Per-task outcome: the full per-seed RunResults plus the aggregate the
@@ -220,64 +182,25 @@ struct RunOptions {
 
 // Validates, calibrates, plans, and runs `tasks`; results come back in
 // task order. Throws std::invalid_argument on unknown circuit/method
-// names or non-positive steps/seeds.
+// names, non-positive steps/seeds, or a FoM weight for an unknown metric.
 std::vector<TaskResult> run_tasks(const std::vector<TaskSpec>& tasks,
                                   const RunOptions& opts = {});
 
 // The canonical per-seed RNG seed of the sweep protocol (seed index s).
 [[nodiscard]] std::uint64_t seed_of(int s);
 
-// --- per-factory building blocks (the bench harness layer) ----------------
-
-// One (method, seed) run against a calibrated factory. `sim_budget` > 0
-// caps the simulated cost of ask/tell methods (<= 0: step budget only;
-// other method kinds ignore it). A non-null `svc` overrides the factory's
-// service.
-rl::RunResult run_method(const std::string& method, const EnvFactory& factory,
-                         int steps, int warmup, std::uint64_t seed,
-                         long sim_budget, const rl::DdpgConfig& base_cfg = {},
-                         std::shared_ptr<env::EvalService> svc = nullptr);
-
-// Seed sweep of one method against a calibrated factory: best-FoM per seed
-// plus traces and per-seed simulated cost (the budget currency). All S
-// seeds share one EvalService and advance in lockstep (Ddpg and AskTell
-// kinds; Random keeps its per-seed batched loop). `sim_budgets`, when
-// non-empty, holds one simulated-cost budget per seed.
-struct SweepResult {
-  std::vector<double> best;  // per seed
-  std::vector<std::vector<double>> traces;
-  std::vector<long> sims;  // per-seed simulated cost
-  double mean = 0.0;
-  double stddev = 0.0;
-};
-SweepResult sweep(const std::string& method, const EnvFactory& factory,
-                  int steps, int warmup, int seeds,
-                  std::span<const long> sim_budgets = {},
-                  const rl::DdpgConfig& base_cfg = {});
-
-// sweep() plus the budget-chain rule in one call sequence: an ES sweep
-// records its per-seed sims into `es_sims`, BO/MACE sweeps consume them as
-// stopping budgets, every other method ignores the chain. Call per method,
-// in an order that puts the budget source before its consumers (run_tasks
-// orders automatically; this entry point is for incremental harness
-// loops).
-SweepResult sweep_chained(const std::string& method, const EnvFactory& factory,
-                          int steps, int warmup, int seeds,
-                          std::vector<long>& es_sims,
-                          const rl::DdpgConfig& base_cfg = {});
-
 // --- reporting helpers ----------------------------------------------------
 
 // One-line description of the evaluation engine configuration (thread
 // count + cache capacity from GCNRL_EVAL_THREADS / GCNRL_EVAL_CACHE),
-// printed by harnesses so logged tables are self-describing.
+// printed by gcnrl_cli so logged reports are self-describing.
 std::string eval_banner();
 
 // One-line service-usage summary (service-wide totals — per-seed numbers
 // come from the per-env counters / RunResult, never from these totals).
 std::string service_usage(const env::EvalService& svc);
 
-// "mean +/- std" cell formatting used by all tables.
+// "mean +/- std" cell formatting of the summary table.
 std::string pm(double mean, double stddev, int precision = 3);
 
 // FNV-1a over the printable (%.17g) form of a trace: a stable short

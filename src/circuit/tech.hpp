@@ -1,10 +1,11 @@
 // Synthetic scalable technology library.
 //
 // The paper ports designs across commercial 250/180/130/65/45 nm nodes; we
-// substitute a first-order-physics node family (see DESIGN.md). Each node
-// carries exactly the model parameters the paper exposes to the RL state
-// vector (Vsat, Vth0, Vfb, mu0, Uc) plus the quantities the simulator
-// needs (Cox, lambda, caps, noise coefficients, supply, geometry limits).
+// substitute a first-order-physics node family (see README
+// "Substitutions"). Each node carries exactly the model parameters the
+// paper exposes to the RL state vector (Vsat, Vth0, Vfb, mu0, Uc) plus the
+// quantities the simulator needs (Cox, lambda, caps, noise coefficients,
+// supply, geometry limits).
 #pragma once
 
 #include <array>

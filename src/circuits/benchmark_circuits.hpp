@@ -5,12 +5,11 @@
 //
 // Exact contest netlists (Stanford EE214B, [6][7][25]) are not public;
 // these are architecture-faithful equivalents with the same metric sets —
-// see DESIGN.md "Substitutions". All builders are parameterized by
+// see README "Substitutions". All builders are parameterized by
 // technology node, which is what enables the Table IV porting experiments.
 //
 // Metric units are SI throughout (Hz, ohm, W, V/sqrt(Hz) or A/sqrt(Hz),
-// seconds, dB for the ratio metrics); the bench printers convert to the
-// paper's display units.
+// seconds, dB for the ratio metrics); gcnrl_cli reports them unconverted.
 #pragma once
 
 #include "env/sizing_env.hpp"

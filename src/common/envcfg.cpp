@@ -5,20 +5,8 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 
 namespace gcnrl {
-
-namespace {
-
-void warn_malformed(const char* name, const char* raw, const char* expected,
-                    const std::string& used) {
-  std::fprintf(stderr,
-               "gcnrl: ignoring malformed %s=\"%s\" (expected %s); using %s\n",
-               name, raw, expected, used.c_str());
-}
-
-}  // namespace
 
 int env_int(const char* name, int fallback) {
   const char* raw = std::getenv(name);
@@ -39,52 +27,13 @@ int env_int(const char* name, int fallback) {
   }
   if (!converted || (end != nullptr && *end != '\0') || errno == ERANGE ||
       v < INT_MIN || v > INT_MAX) {
-    warn_malformed(name, raw, "an integer", std::to_string(fallback));
+    std::fprintf(stderr,
+                 "gcnrl: ignoring malformed %s=\"%s\" (expected an "
+                 "integer); using %d\n",
+                 name, raw, fallback);
     return fallback;
   }
   return static_cast<int>(v);
-}
-
-bool env_flag(const char* name) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return false;
-  std::string v(raw);
-  for (char& c : v) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (v.empty() || v == "0" || v == "false" || v == "no" || v == "off") {
-    return false;
-  }
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  // Historical behaviour treated any other non-empty value as true; keep
-  // that so existing scripts don't silently flip, but warn — "GCNRL_FULL=o"
-  // is far more likely a typo than an intentional truthy value.
-  warn_malformed(name, raw, "one of 0/1/true/false/yes/no/on/off", "true");
-  return true;
-}
-
-BenchConfig bench_config() {
-  BenchConfig cfg;
-  if (env_flag("GCNRL_FULL")) {
-    cfg.full = true;
-    cfg.steps = 10000;
-    cfg.warmup = 500;
-    cfg.transfer_steps = 300;
-    cfg.transfer_warmup = 100;
-    cfg.seeds = 3;
-    cfg.calib_samples = 5000;
-  }
-  cfg.steps = env_int("GCNRL_STEPS", cfg.steps);
-  cfg.seeds = env_int("GCNRL_SEEDS", cfg.seeds);
-  cfg.calib_samples = env_int("GCNRL_CALIB", cfg.calib_samples);
-  cfg.warmup = env_int("GCNRL_WARMUP", cfg.warmup);
-  cfg.transfer_steps = env_int("GCNRL_TRANSFER_STEPS", cfg.transfer_steps);
-  cfg.transfer_warmup = env_int("GCNRL_TRANSFER_WARMUP", cfg.transfer_warmup);
-  if (cfg.warmup >= cfg.steps) cfg.warmup = cfg.steps / 3;
-  if (cfg.transfer_warmup >= cfg.transfer_steps) {
-    cfg.transfer_warmup = cfg.transfer_steps / 3;
-  }
-  return cfg;
 }
 
 }  // namespace gcnrl

@@ -60,7 +60,18 @@ CsvWriter::~CsvWriter() {
 void CsvWriter::row(const std::vector<std::string>& cells) {
   auto* f = static_cast<std::FILE*>(file_);
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    std::fputs(cells[i].c_str(), f);
+    const std::string& cell = cells[i];
+    if (cell.find_first_of(",\"\r\n") == std::string::npos) {
+      std::fputs(cell.c_str(), f);
+    } else {
+      // RFC 4180: quote the field and double every embedded quote.
+      std::fputc('"', f);
+      for (const char c : cell) {
+        if (c == '"') std::fputc('"', f);
+        std::fputc(c, f);
+      }
+      std::fputc('"', f);
+    }
     std::fputc(i + 1 == cells.size() ? '\n' : ',', f);
   }
 }

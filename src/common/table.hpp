@@ -1,6 +1,5 @@
-// Console table + CSV emission used by the benchmark harnesses to print
-// paper-style tables (paper reference value next to measured value) and to
-// dump figure series for plotting.
+// Console table + CSV emission: gcnrl_cli's summary table and its trace
+// and per-seed CSV files.
 #pragma once
 
 #include <string>
@@ -26,7 +25,9 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-// Minimal CSV writer (no quoting needs beyond commas in our data).
+// Minimal CSV writer. A cell that holds a comma, a double quote, CR or LF
+// is quoted as RFC 4180 says (embedded quotes doubled); every other cell
+// is written as is.
 class CsvWriter {
  public:
   explicit CsvWriter(std::string path);

@@ -173,8 +173,8 @@ class EvalService {
   [[nodiscard]] long cache_hits() const { return total_.cache_hits; }
 
   // Per-job attribution: each SizingEnv (or any other submitter) claims a
-  // slot and stamps it on its jobs, so multi-env harnesses on one shared
-  // service can report per-env counters instead of service-wide totals.
+  // slot and stamps it on its jobs, so many envs on one shared service
+  // can report per-env counters instead of service-wide totals.
   // A result served from the cache — even one warmed by another env — is a
   // cache hit for the requesting slot; only the first requester of a
   // design is charged the sim.

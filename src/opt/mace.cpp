@@ -104,22 +104,15 @@ void Mace::tell(const std::vector<std::vector<double>>& xs,
     best_y_ = std::max(best_y_, ys[i]);
   }
   if (static_cast<int>(xs_.size()) < opt_.initial_random) return;
-  std::vector<std::vector<double>> x_fit = xs_;
-  std::vector<double> y_fit = ys_;
-  if (static_cast<int>(x_fit.size()) > opt_.max_gp_points) {
-    std::vector<int> order(x_fit.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&](int a, int b) { return y_fit[a] > y_fit[b]; });
-    order.resize(opt_.max_gp_points);
-    std::vector<std::vector<double>> xk;
-    std::vector<double> yk;
-    for (int idx : order) {
-      xk.push_back(x_fit[idx]);
-      yk.push_back(y_fit[idx]);
-    }
-    x_fit = std::move(xk);
-    y_fit = std::move(yk);
+  // Same capped training set as BayesOpt: the newest point always enters.
+  const std::vector<int> keep = gp_training_subset(ys_, opt_.max_gp_points);
+  std::vector<std::vector<double>> x_fit;
+  std::vector<double> y_fit;
+  x_fit.reserve(keep.size());
+  y_fit.reserve(keep.size());
+  for (const int idx : keep) {
+    x_fit.push_back(xs_[static_cast<std::size_t>(idx)]);
+    y_fit.push_back(ys_[static_cast<std::size_t>(idx)]);
   }
   gp_.fit(x_fit, y_fit);
 }

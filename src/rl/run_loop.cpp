@@ -175,38 +175,6 @@ std::vector<RunResult> run_ddpg_lockstep(std::span<env::SizingEnv* const> envs,
   return run_ddpg_lockstep(envs, agents, uniform);
 }
 
-RunResult run_optimizer(env::SizingEnv& env, opt::Optimizer& optimizer,
-                        int steps, long max_sims) {
-  RunResult out;
-  SimLedger ledger;
-  const circuit::DesignSpace& space = env.bench().space;
-  while (out.evals < steps && (max_sims < 0 || out.sims < max_sims)) {
-    auto xs = optimizer.ask();
-    // An exhausted (or buggy) optimizer proposing nothing can never
-    // advance the budget; end the run instead of spinning forever.
-    if (xs.empty()) break;
-    // Truncate to the remaining budget: an evaluation costs at most one
-    // simulation, so a population bounded by both remaining budgets can
-    // overshoot neither (repeats cost 0, which only ends the batch under
-    // budget and lets the loop continue).
-    std::size_t room = static_cast<std::size_t>(steps - out.evals);
-    if (max_sims >= 0) {
-      room = std::min(room, static_cast<std::size_t>(max_sims - out.sims));
-    }
-    if (xs.size() > room) xs.resize(room);
-    const auto results = env.step_flat_batch(xs);
-    std::vector<double> ys;
-    ys.reserve(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      ys.push_back(results[i].fom);
-      out.sims += ledger.charge(space, results[i].params);
-      out.commit_flat(space, xs[i], results[i]);
-    }
-    optimizer.tell(xs, ys);
-  }
-  return out;
-}
-
 namespace {
 
 void run_optimizer_lockstep_group(std::span<const OptimizerPair> pairs,
@@ -228,8 +196,8 @@ void run_optimizer_lockstep_group(std::span<const OptimizerPair> pairs,
     // Ask/tell phase: ask/tell is sequential within a pair but the pairs
     // are independent and share no mutable state, so each active pair runs
     // one task on the service's workers: tell() of last round's results,
-    // the budget check, ask() truncated exactly as serial run_optimizer
-    // would, and the unflatten. A pair whose budget is exhausted or whose
+    // the budget check, ask() truncated to the remaining budget, and the
+    // unflatten. A pair whose budget is exhausted or whose
     // ask() comes back empty drops out instead of padding the batch.
     svc.parallel_for(active.size(), [&](std::size_t j) {
       const std::size_t k = active[j];

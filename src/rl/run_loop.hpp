@@ -1,15 +1,18 @@
-// Shared optimization-loop drivers used by the examples and the benchmark
-// harnesses: run a DDPG agent or a black-box optimizer against a
-// SizingEnv for a budget and record the best-so-far FoM trace (the
-// quantity plotted in the paper's Figs. 5/7/8).
+// The optimization-loop drivers behind api::run_tasks and the examples:
+// run DDPG agents or black-box optimizers against SizingEnvs for a budget
+// and record the best-so-far FoM trace (the quantity plotted in the
+// paper's Figs. 5/7/8).
 //
-// The black-box drivers submit whole candidate batches to the env's
-// EvalService (run_optimizer forwards each ask() population, run_random
-// pre-generates fixed-size chunks), so evaluation parallelism and result
-// caching come for free. Results are committed to the trace in submission
-// order regardless of completion order, and all batching decisions are
-// independent of the thread count — best_trace is bit-identical under
-// GCNRL_EVAL_THREADS=1 and =N.
+// The lockstep drivers step S independent (env, agent) or (env,
+// optimizer) pairs side by side: every round's proposals go to the pairs'
+// shared EvalService as one batch, and each pair's own work (a DDPG
+// observe(), an optimizer's tell() and ask()) runs concurrently on the
+// service's workers. Each pair's result is exactly what a serial loop over
+// that pair alone would produce — its RNG stream, its history and its
+// batches do not depend on the other pairs or on the thread count — so
+// best_trace is bit-identical under GCNRL_EVAL_THREADS=1 and =N and under
+// any grouping of pairs. The serial references the tests compare against
+// are run_ddpg below and a serial ask/tell loop kept in tests/.
 //
 // Budgets are deterministic. An evaluation budget caps trace commits; a
 // simulated-cost budget caps RunResult::sims, the number of simulations
@@ -18,9 +21,9 @@
 // run already evaluated are free. This charge is a pure function of the
 // run's own proposal stream — independent of thread count, cache capacity,
 // and whatever other runs warmed a shared cache — which is what makes
-// sim-budgeted tables bit-reproducible (the paper's Table I protocol
-// matched BO/MACE to the RL methods by nondeterministic wall-clock
-// instead; see bench::run_optimizer_budgeted).
+// sim-budgeted tables bit-reproducible. (The paper's Table I matched
+// BO/MACE to the RL methods by wall-clock, which is nondeterministic;
+// OptimizerPair::max_sims replaces it.)
 #pragma once
 
 #include <memory>
@@ -88,20 +91,12 @@ std::vector<RunResult> run_ddpg_lockstep(std::span<env::SizingEnv* const> envs,
                                          std::span<DdpgAgent* const> agents,
                                          int steps);
 
-// Run a black-box optimizer (ask/tell on the flattened space). Each ask()
-// population is evaluated as one batch, truncated to the remaining budget
-// (an evaluation costs at most one simulation, so neither budget can be
-// overshot). `steps` caps trace commits; `max_sims` >= 0 additionally caps
-// the simulated cost (RunResult::sims — within-run repeats are free, see
-// the header comment), < 0 means no simulated-cost cap. An empty ask()
-// population ends the run early (the optimizer has nothing left to
-// propose); without this the loop could never advance its budget.
-RunResult run_optimizer(env::SizingEnv& env, opt::Optimizer& optimizer,
-                        int steps, long max_sims = -1);
-
 // One (env, optimizer) pair of a lockstep black-box sweep, with its own
-// budgets (same semantics as run_optimizer; steps <= 0 means the pair
-// never runs).
+// budgets: `steps` caps trace commits (<= 0: the pair never runs);
+// `max_sims` >= 0 additionally caps the simulated cost (RunResult::sims),
+// < 0 means no simulated-cost cap. Each ask() population is truncated to
+// the remaining budget (an evaluation costs at most one simulation, so
+// neither budget can be overshot).
 struct OptimizerPair {
   env::SizingEnv* env = nullptr;
   opt::Optimizer* opt = nullptr;
@@ -119,12 +114,12 @@ struct OptimizerPair {
 // evaluations and the optimizers' own work (a BO/MACE seed's GP fit and
 // acquisition, a CMA-ES update) run across seeds on the thread pool.
 // A pair drops out once its evaluation or simulated-cost budget is
-// exhausted or its ask() comes back empty. Pairs on different services
-// are grouped and the groups run back-to-back. Per-pair best_trace/sims
-// are bit-identical to serial run_optimizer at any GCNRL_EVAL_THREADS
-// (FoM values never depend on cache state, each optimizer sees the
-// identical ask/tell sequence, and the batches hold the same jobs in the
-// same order).
+// exhausted or its ask() comes back empty (the optimizer has nothing left
+// to propose). Pairs on different services are grouped and the groups run
+// back-to-back. Per-pair best_trace/sims are bit-identical to a serial
+// ask/tell loop over the pair alone at any GCNRL_EVAL_THREADS (FoM values
+// never depend on cache state, each optimizer sees the identical ask/tell
+// sequence, and the batches hold the same jobs in the same order).
 //
 // Paired optimizers must not share mutable state, since their ask() and
 // tell() calls run at the same time. Throws std::invalid_argument when a

@@ -6,7 +6,7 @@
 // from cold starts across the whole random-sizing space; (2) physically
 // sensible trends (gm/ID, ro ~ 1/(lambda Id), fT ~ mu Vov / L^2) so sizing
 // trade-offs look like real analog design; (3) cheap. Accuracy against any
-// particular foundry model is a non-goal (see DESIGN.md substitutions).
+// particular foundry model is a non-goal (see README "Substitutions").
 //
 // Conventions: NMOS current flows drain->source and is positive for
 // vds > 0. PMOS is handled by mirroring voltages and current. The model is

@@ -1,15 +1,20 @@
 // Tests for the public task facade (src/api): circuit & method
 // registries (duplicates, unknown-name diagnostics, deterministic
-// ordering, user extension), the run_tasks planner (sweep parity, budget
-// chaining, order/grouping independence, thread-count determinism, custom
-// circuits end to end), and the task-spec file parser.
+// ordering, user extension), the run_tasks planner (budget chaining, FoM
+// overrides, order/grouping independence, thread-count determinism,
+// transfer chains, custom circuits end to end), and the task-spec file
+// parser with every shipped spec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,6 +22,7 @@
 #include "api/api.hpp"
 #include "circuit/tech.hpp"
 #include "nn/linear.hpp"
+#include "serial_reference.hpp"
 #include "sim/simulator.hpp"
 
 namespace api = gcnrl::api;
@@ -102,6 +108,53 @@ api::RunOptions tiny_options(int threads = 1) {
   opts.service = std::make_shared<env::EvalService>(cfg);
   return opts;
 }
+
+// The factory run_tasks calibrates for a lone Synthetic-API task.
+api::EnvFactory synthetic_factory(const api::RunOptions& opts) {
+  Rng calib_rng(opts.calib_seed);
+  return api::EnvFactory("Synthetic-API", circuit::make_technology("180nm"),
+                         env::IndexMode::OneHot, opts.calib_samples,
+                         calib_rng, opts.service);
+}
+
+// DDPG seeds wired by hand: one (env, agent) pair per RNG seed on one
+// service, each agent optionally warm-started from `copy_from`, optionally
+// with an FoM edit applied to each env, stepped through
+// rl::run_ddpg_lockstep.
+class LockstepRun {
+ public:
+  LockstepRun(const api::EnvFactory& factory,
+              const std::shared_ptr<env::EvalService>& svc,
+              const rl::DdpgConfig& cfg,
+              const std::vector<std::uint64_t>& seeds,
+              rl::DdpgAgent* copy_from = nullptr,
+              const std::function<void(env::FomSpec&)>& edit = nullptr) {
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      envs_.push_back(factory.make(svc));
+      if (edit) edit(envs_.back()->bench().fom);
+      agents_.push_back(std::make_unique<rl::DdpgAgent>(
+          envs_.back()->state(), envs_.back()->adjacency(),
+          envs_.back()->kinds(), cfg, Rng(seeds[i])));
+      if (copy_from != nullptr) agents_.back()->copy_weights_from(*copy_from);
+    }
+  }
+
+  std::vector<rl::RunResult> run(int steps) {
+    std::vector<env::SizingEnv*> envs;
+    std::vector<rl::DdpgAgent*> agents;
+    for (std::size_t i = 0; i < envs_.size(); ++i) {
+      envs.push_back(envs_[i].get());
+      agents.push_back(agents_[i].get());
+    }
+    return rl::run_ddpg_lockstep(envs, agents, steps);
+  }
+
+  [[nodiscard]] rl::DdpgAgent& agent(std::size_t i) { return *agents_[i]; }
+
+ private:
+  std::vector<std::unique_ptr<env::SizingEnv>> envs_;
+  std::vector<std::unique_ptr<rl::DdpgAgent>> agents_;
+};
 
 // ---------------------------------------------------------------------------
 // CircuitRegistry
@@ -226,17 +279,15 @@ TEST(RunTasks, ValidatesSpecs) {
   EXPECT_THROW(api::run_tasks({bad_budget}), std::invalid_argument);
 }
 
-// run_method and run_tasks agree on explicit simulated-cost caps for any
-// ask/tell method, budget source or not.
+// run_tasks caps any ask/tell method, budget source or not, at an
+// explicit simulated cost exactly as the serial ask/tell loop does.
 TEST(RunMethod, ExplicitSimBudgetCapsAskTell) {
   const auto opts = tiny_options();
-  Rng calib_rng(opts.calib_seed);
-  const api::EnvFactory factory("Synthetic-API",
-                                circuit::make_technology("180nm"),
-                                env::IndexMode::OneHot, opts.calib_samples,
-                                calib_rng, opts.service);
-  const auto capped =
-      api::run_method("ES", factory, 10, 0, api::seed_of(0), 4);
+  const api::EnvFactory factory = synthetic_factory(opts);
+  const auto env = factory.make(opts.service);
+  const auto es =
+      api::make_ask_tell("ES", env->flat_dim(), Rng(api::seed_of(0)));
+  const auto capped = gcnrl::testing::run_optimizer(*env, *es, 10, 4);
   EXPECT_LE(capped.sims, 4);
   const auto via_tasks = [&] {
     api::TaskSpec t = synthetic_task("ES", 10, 1);
@@ -274,8 +325,8 @@ TEST(RunTasks, CustomCircuitEndToEndAllMethodKinds) {
 // a task alone, the same task inside a heterogeneous list, and the same
 // list permuted all agree — as long as the permutation preserves the
 // first-appearance order of distinct (circuit, node) groups, because
-// calibration draws from one shared RNG in group order (the documented
-// protocol of the table harnesses).
+// calibration draws from one shared RNG in group order (the calibration
+// rule task.hpp documents).
 TEST(RunTasks, GroupingAndOrderIndependence) {
   const api::TaskSpec a = synthetic_task("GCN-RL", 5, 2);
   const api::TaskSpec b = synthetic_task("ES", 5, 2);
@@ -347,25 +398,48 @@ TEST(RunTasks, BudgetChainMatchesExplicitBudgets) {
   EXPECT_EQ(uncapped[1].runs[0].best_trace.size(), 8u);
 }
 
-// run_tasks on one task == sweep() against an identically calibrated
-// factory: the two public paths share one execution engine.
-TEST(RunTasks, MatchesSweepOnEquivalentFactory) {
-  const api::TaskSpec t = synthetic_task("GCN-RL", 6, 2);
+// A task's FoM override equals editing each env's FomSpec by hand after
+// calibration: the weighted task keeps the normalizers of the plain task
+// listed before it (the override is not part of the calibration tuple).
+TEST(RunTasks, FomOverrideMatchesHandEditedEnvs) {
+  const api::TaskSpec plain = synthetic_task("GCN-RL", 8, 2);
+  api::TaskSpec weighted = synthetic_task("GCN-RL", 8, 2);
+  weighted.label = "weighted";
+  weighted.seed_base = 77;
+  weighted.seed_stride = 1;
+  weighted.fom.enforce_spec = false;
+  weighted.fom.weights = {{"cost", -10.0}};
+  const auto planned = api::run_tasks({plain, weighted}, tiny_options());
+
   const auto opts = tiny_options();
-  const auto via_tasks = api::run_tasks({t}, opts);
+  const api::EnvFactory factory = synthetic_factory(opts);
+  rl::DdpgConfig cfg;
+  cfg.warmup = weighted.warmup;
+  LockstepRun by_hand(factory, opts.service, cfg, {77, 78}, nullptr,
+                      [](env::FomSpec& fom) {
+                        fom.enforce_spec = false;
+                        fom.set_weight("cost", -10.0);
+                      });
+  const auto runs = by_hand.run(weighted.steps);
 
-  Rng calib_rng(opts.calib_seed);
-  const api::EnvFactory factory("Synthetic-API",
-                                circuit::make_technology("180nm"),
-                                env::IndexMode::OneHot, opts.calib_samples,
-                                calib_rng, tiny_options().service);
-  const auto via_sweep =
-      api::sweep("GCN-RL", factory, t.steps, t.warmup, t.seeds);
+  ASSERT_EQ(planned[1].runs.size(), 2u);
+  for (std::size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(planned[1].runs[s].best_trace, runs[s].best_trace);
+    EXPECT_EQ(planned[1].runs[s].best_metrics, runs[s].best_metrics);
+    EXPECT_EQ(planned[1].runs[s].sims, runs[s].sims);
+  }
 
-  EXPECT_EQ(via_tasks[0].best, via_sweep.best);
-  EXPECT_EQ(via_tasks[0].sims, via_sweep.sims);
-  for (std::size_t s = 0; s < via_sweep.traces.size(); ++s) {
-    EXPECT_EQ(via_tasks[0].runs[s].best_trace, via_sweep.traces[s]);
+  // A weight for a metric the circuit lacks fails validation and names
+  // the metrics it has.
+  api::TaskSpec bad = weighted;
+  bad.fom.weights = {{"gain", 10.0}};
+  try {
+    (void)api::run_tasks({bad}, tiny_options());
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("\"gain\""), std::string::npos) << what;
+    EXPECT_NE(what.find("speed, cost"), std::string::npos) << what;
   }
 }
 
@@ -393,10 +467,9 @@ TEST(RunTasks, CustomAskTellMethodRunsThroughPlanner) {
 // Transfer: pretrain chains + checkpoints
 // ---------------------------------------------------------------------------
 
-// A planner-resolved pretrain chain is bit-identical to the hand-wired
-// protocol the transfer harnesses used before run_tasks: pretrain via one
-// LockstepGroup, then copy_from into fine-tune agents on the historical
-// seed ladder.
+// A planner-resolved pretrain chain is bit-identical to the transfer
+// protocol wired by hand: pretrain one agent, then copy its weights into
+// fine-tune agents on the seed ladder.
 TEST(RunTasks, PretrainChainMatchesHandWiredTransfer) {
   api::TaskSpec pre = synthetic_task("GCN-RL", 8, 1);
   pre.warmup = 2;
@@ -410,28 +483,14 @@ TEST(RunTasks, PretrainChainMatchesHandWiredTransfer) {
   const auto planned = api::run_tasks({pre, xfer}, tiny_options());
 
   const auto opts = tiny_options();
-  Rng calib_rng(opts.calib_seed);
-  const api::EnvFactory factory("Synthetic-API",
-                                circuit::make_technology("180nm"),
-                                env::IndexMode::OneHot, opts.calib_samples,
-                                calib_rng, opts.service);
-  rl::DdpgConfig pre_cfg;
-  pre_cfg.warmup = 2;
-  std::vector<api::LockstepSpec> pre_specs;
-  pre_specs.push_back({pre_cfg, Rng(500), nullptr, {}});
-  api::LockstepGroup pre_group(factory, std::move(pre_specs));
-  const auto pre_runs = pre_group.run(8);
-
-  rl::DdpgConfig ft_cfg;
-  ft_cfg.warmup = 2;
-  std::vector<api::LockstepSpec> ft_specs;
-  for (int s = 0; s < 2; ++s) {
-    ft_specs.push_back(
-        {ft_cfg, Rng(900 + 31 * static_cast<std::uint64_t>(s)),
-         &pre_group.agent(0), {}});
-  }
-  api::LockstepGroup ft_group(factory, std::move(ft_specs));
-  const auto ft_runs = ft_group.run(6);
+  const api::EnvFactory factory = synthetic_factory(opts);
+  rl::DdpgConfig cfg;
+  cfg.warmup = 2;
+  LockstepRun pre_run(factory, opts.service, cfg, {500});
+  const auto pre_runs = pre_run.run(8);
+  LockstepRun ft_run(factory, opts.service, cfg, {900, 931},
+                     &pre_run.agent(0));
+  const auto ft_runs = ft_run.run(6);
 
   EXPECT_EQ(planned[0].runs[0].best_trace, pre_runs[0].best_trace);
   ASSERT_EQ(planned[1].runs.size(), 2u);
@@ -447,24 +506,18 @@ TEST(RunTasks, PretrainChainMatchesHandWiredTransfer) {
 // fine-tune produces the identical best_trace.
 TEST(RunTasks, AgentSaveLoadRoundTripIsBitwise) {
   const auto opts = tiny_options();
-  Rng calib_rng(opts.calib_seed);
-  const api::EnvFactory factory("Synthetic-API",
-                                circuit::make_technology("180nm"),
-                                env::IndexMode::OneHot, opts.calib_samples,
-                                calib_rng, opts.service);
+  const api::EnvFactory factory = synthetic_factory(opts);
   rl::DdpgConfig cfg;
   cfg.warmup = 2;
-  std::vector<api::LockstepSpec> specs;
-  specs.push_back({cfg, Rng(42), nullptr, {}});
-  api::LockstepGroup trained_group(factory, std::move(specs));
-  trained_group.run(8);
-  rl::DdpgAgent& trained = trained_group.agent(0);
+  LockstepRun trained_run(factory, opts.service, cfg, {42});
+  trained_run.run(8);
+  rl::DdpgAgent& trained = trained_run.agent(0);
 
   const std::string path =
       (std::filesystem::temp_directory_path() / "gcnrl_agent_roundtrip.gcr")
           .string();
   trained.save(path);
-  const auto env2 = factory.make();
+  const auto env2 = factory.make(opts.service);
   rl::DdpgAgent loaded(env2->state(), env2->adjacency(), env2->kinds(), cfg,
                        Rng(777));
   loaded.load(path);
@@ -486,11 +539,8 @@ TEST(RunTasks, AgentSaveLoadRoundTripIsBitwise) {
   }
 
   // The loaded agent warm-starts a run exactly like the original.
-  std::vector<api::LockstepSpec> s1, s2;
-  s1.push_back({cfg, Rng(5), &trained, {}});
-  s2.push_back({cfg, Rng(5), &loaded, {}});
-  api::LockstepGroup g1(factory, std::move(s1));
-  api::LockstepGroup g2(factory, std::move(s2));
+  LockstepRun g1(factory, opts.service, cfg, {5}, &trained);
+  LockstepRun g2(factory, opts.service, cfg, {5}, &loaded);
   const auto r1 = g1.run(6);
   const auto r2 = g2.run(6);
   EXPECT_EQ(r1[0].best_trace, r2[0].best_trace);
@@ -734,6 +784,31 @@ TEST(SpecParser, BindsTransferFields) {
                std::runtime_error);  // unknown index mode
 }
 
+TEST(SpecParser, BindsFomOverride) {
+  const api::TaskFile f = api::parse_task_spec(R"({"tasks": [
+    {"circuit": "Two-TIA", "method": "GCN-RL",
+     "fom": {"enforce_spec": false, "weights": {"bw": 10, "power": -10}}},
+    {"circuit": "Two-TIA", "method": "GCN-RL", "fom": {}}]})");
+  ASSERT_EQ(f.tasks.size(), 2u);
+  ASSERT_TRUE(f.tasks[0].fom.enforce_spec.has_value());
+  EXPECT_FALSE(*f.tasks[0].fom.enforce_spec);
+  EXPECT_EQ(f.tasks[0].fom.weights,
+            (std::map<std::string, double>{{"bw", 10.0}, {"power", -10.0}}));
+  EXPECT_FALSE(f.tasks[1].fom.enforce_spec.has_value());
+  EXPECT_TRUE(f.tasks[1].fom.weights.empty());
+
+  for (const char* fom : {R"({"enforce": false})", R"({"weights": [1]})",
+                          R"({"enforce_spec": 0})",
+                          R"({"weights": {"bw": "ten"}})", "3"}) {
+    EXPECT_THROW(api::parse_task_spec(
+                     std::string(R"({"tasks": [{"circuit": "LDO",
+                         "method": "ES", "fom": )") +
+                     fom + "}]}"),
+                 std::runtime_error)
+        << fom;
+  }
+}
+
 TEST(SpecParser, RejectsUnknownAndMalformedInput) {
   // Unknown keys fail loudly rather than being ignored.
   EXPECT_THROW(api::parse_task_spec(
@@ -781,16 +856,48 @@ TEST(SpecParser, ReportsPositions) {
   }
 }
 
-// The shipped example specs stay parseable (they are CI's smoke input).
+// Every shipped spec, the paper's included, parses and resolves: methods
+// and nodes exist, each circuit is registered (or registers from its
+// .gcir file), each FoM weight names one of the circuit's metrics, and
+// each pretrain_from names a label in the same file. No test runs the
+// paper-scale specs, so this is what keeps them from going stale.
 TEST(SpecParser, ShippedSpecsParse) {
-  for (const char* path : {"/specs/smoke.json", "/specs/custom.json",
-                           "/specs/transfer.json",
-                           "/specs/file_transfer.json"}) {
-    const api::TaskFile f =
-        api::load_task_spec(std::string(GCNRL_SOURCE_DIR) + path);
+  std::vector<std::filesystem::path> files;
+  for (const char* dir : {"/specs", "/specs/paper"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::string(GCNRL_SOURCE_DIR) + dir)) {
+      if (entry.path().extension() == ".json") files.push_back(entry.path());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 21u);  // 5 examples + 8 paper specs x 2 scales
+  // gcnrl_cli registers Demo-OTA itself (specs/custom.json targets it).
+  const std::set<std::string> cli_circuits = {"Demo-OTA"};
+  for (const auto& path : files) {
+    const api::TaskFile f = api::load_task_spec(path.string());
     EXPECT_FALSE(f.tasks.empty()) << path;
+    std::set<std::string> labels;
+    for (const api::TaskSpec& t : f.tasks) labels.insert(t.label);
     for (const api::TaskSpec& t : f.tasks) {
-      EXPECT_TRUE(api::method_registered(t.method)) << t.method;
+      EXPECT_TRUE(api::method_registered(t.method)) << path << ": " << t.method;
+      EXPECT_NO_THROW((void)circuit::make_technology(t.node))
+          << path << ": " << t.node;
+      std::string name = t.circuit;
+      if (!t.circuit_file.empty()) {
+        name = api::register_circuit_file(t.circuit_file);
+        EXPECT_TRUE(t.circuit.empty() || t.circuit == name) << path;
+      }
+      if (cli_circuits.count(name) != 0) continue;
+      ASSERT_TRUE(api::circuit_registered(name)) << path << ": " << name;
+      const env::FomSpec fom =
+          api::build_circuit(name, circuit::make_technology("180nm")).fom;
+      for (const auto& [metric, weight] : t.fom.weights) {
+        EXPECT_NE(fom.find(metric), nullptr) << path << ": " << metric;
+      }
+      if (!t.pretrain_from.empty()) {
+        EXPECT_EQ(labels.count(t.pretrain_from), 1u)
+            << path << ": " << t.pretrain_from;
+      }
     }
   }
 }

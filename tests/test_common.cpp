@@ -1,18 +1,23 @@
 // Unit tests for the common substrate: environment-variable configuration
-// (envcfg) and the deterministic xoshiro256++ RNG.
+// (envcfg), the CSV writer, and the deterministic xoshiro256++ RNG.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/envcfg.hpp"
 #include "common/rng.hpp"
+#include "common/table.hpp"
 #include "test_helpers.hpp"
 
-using gcnrl::BenchConfig;
+using gcnrl::CsvWriter;
 using gcnrl::Rng;
 using gcnrl::testing::ScopedEnv;
 
@@ -95,119 +100,6 @@ TEST(EnvInt, OverflowWarnsAndFallsBack) {
   EXPECT_EQ(gcnrl::env_int("GCNRL_TEST_INT", 5), 5);
   EXPECT_NE(testing::internal::GetCapturedStderr().find("GCNRL_TEST_INT"),
             std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// envcfg: env_flag
-// ---------------------------------------------------------------------------
-
-TEST(EnvFlag, UnsetIsFalse) {
-  ScopedEnv e("GCNRL_TEST_FLAG", nullptr);
-  EXPECT_FALSE(gcnrl::env_flag("GCNRL_TEST_FLAG"));
-}
-
-TEST(EnvFlag, ZeroIsFalse) {
-  ScopedEnv e("GCNRL_TEST_FLAG", "0");
-  EXPECT_FALSE(gcnrl::env_flag("GCNRL_TEST_FLAG"));
-}
-
-TEST(EnvFlag, EmptyIsFalse) {
-  ScopedEnv e("GCNRL_TEST_FLAG", "");
-  EXPECT_FALSE(gcnrl::env_flag("GCNRL_TEST_FLAG"));
-}
-
-TEST(EnvFlag, RecognizedTokensParseSilentlyCaseInsensitive) {
-  testing::internal::CaptureStderr();
-  for (const char* t : {"1", "true", "yes", "on", "TRUE", "Yes", "ON"}) {
-    ScopedEnv e("GCNRL_TEST_FLAG", t);
-    EXPECT_TRUE(gcnrl::env_flag("GCNRL_TEST_FLAG")) << t;
-  }
-  for (const char* f : {"0", "false", "no", "off", "FALSE", "No", "OFF"}) {
-    ScopedEnv e("GCNRL_TEST_FLAG", f);
-    EXPECT_FALSE(gcnrl::env_flag("GCNRL_TEST_FLAG")) << f;
-  }
-  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-}
-
-// Unrecognized text keeps the historical non-empty-is-true reading but
-// must warn: "GCNRL_FULL=o" is a typo, not a truthy value.
-TEST(EnvFlag, ArbitraryTextWarnsButIsTrue) {
-  ScopedEnv e("GCNRL_TEST_FLAG", "maybe");
-  testing::internal::CaptureStderr();
-  EXPECT_TRUE(gcnrl::env_flag("GCNRL_TEST_FLAG"));
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("GCNRL_TEST_FLAG"), std::string::npos) << err;
-  EXPECT_NE(err.find("maybe"), std::string::npos) << err;
-}
-
-// ---------------------------------------------------------------------------
-// envcfg: bench_config
-// ---------------------------------------------------------------------------
-
-TEST(BenchConfigTest, DefaultsWhenNothingSet) {
-  ScopedEnv a("GCNRL_FULL", nullptr);
-  ScopedEnv b("GCNRL_STEPS", nullptr);
-  ScopedEnv c("GCNRL_SEEDS", nullptr);
-  ScopedEnv d("GCNRL_CALIB", nullptr);
-  ScopedEnv e("GCNRL_WARMUP", nullptr);
-  ScopedEnv f("GCNRL_TRANSFER_STEPS", nullptr);
-  ScopedEnv g("GCNRL_TRANSFER_WARMUP", nullptr);
-
-  const BenchConfig cfg = gcnrl::bench_config();
-  EXPECT_FALSE(cfg.full);
-  EXPECT_EQ(cfg.steps, 300);
-  EXPECT_EQ(cfg.warmup, 100);
-  EXPECT_EQ(cfg.seeds, 2);
-  EXPECT_EQ(cfg.calib_samples, 300);
-  EXPECT_LT(cfg.warmup, cfg.steps);
-  EXPECT_LT(cfg.transfer_warmup, cfg.transfer_steps);
-}
-
-TEST(BenchConfigTest, FullProtocolSelectsPaperScale) {
-  ScopedEnv a("GCNRL_FULL", "1");
-  ScopedEnv b("GCNRL_STEPS", nullptr);
-  ScopedEnv c("GCNRL_SEEDS", nullptr);
-  ScopedEnv d("GCNRL_CALIB", nullptr);
-  ScopedEnv e("GCNRL_WARMUP", nullptr);
-  ScopedEnv f("GCNRL_TRANSFER_STEPS", nullptr);
-  ScopedEnv g("GCNRL_TRANSFER_WARMUP", nullptr);
-
-  const BenchConfig cfg = gcnrl::bench_config();
-  EXPECT_TRUE(cfg.full);
-  EXPECT_EQ(cfg.steps, 10000);
-  EXPECT_EQ(cfg.seeds, 3);
-  EXPECT_EQ(cfg.calib_samples, 5000);
-}
-
-TEST(BenchConfigTest, ExplicitOverridesWinOverFull) {
-  ScopedEnv a("GCNRL_FULL", "1");
-  ScopedEnv b("GCNRL_STEPS", "77");
-  ScopedEnv c("GCNRL_SEEDS", "1");
-  ScopedEnv d("GCNRL_CALIB", "10");
-  ScopedEnv e("GCNRL_WARMUP", nullptr);
-  ScopedEnv f("GCNRL_TRANSFER_STEPS", nullptr);
-  ScopedEnv g("GCNRL_TRANSFER_WARMUP", nullptr);
-
-  const BenchConfig cfg = gcnrl::bench_config();
-  EXPECT_EQ(cfg.steps, 77);
-  EXPECT_EQ(cfg.seeds, 1);
-  EXPECT_EQ(cfg.calib_samples, 10);
-  // warmup (500 from the full protocol) exceeds 77 steps, so it must be
-  // clamped below the step budget.
-  EXPECT_LT(cfg.warmup, cfg.steps);
-}
-
-TEST(BenchConfigTest, WarmupClampedBelowSteps) {
-  ScopedEnv a("GCNRL_FULL", nullptr);
-  ScopedEnv b("GCNRL_STEPS", "30");
-  ScopedEnv e("GCNRL_WARMUP", "100");
-  ScopedEnv f("GCNRL_TRANSFER_STEPS", "9");
-  ScopedEnv g("GCNRL_TRANSFER_WARMUP", "50");
-
-  const BenchConfig cfg = gcnrl::bench_config();
-  EXPECT_EQ(cfg.steps, 30);
-  EXPECT_EQ(cfg.warmup, 10);
-  EXPECT_EQ(cfg.transfer_warmup, 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -335,6 +227,35 @@ TEST(RngTest, ShuffleIsPermutation) {
   rng.shuffle(v);
   std::set<int> s(v.begin(), v.end());
   EXPECT_EQ(s.size(), 10u);
+}
+
+// ---------------------------------------------------------------------------
+// CsvWriter
+// ---------------------------------------------------------------------------
+
+// A cell holding the separator, a quote, CR or LF is quoted (RFC 4180),
+// with embedded quotes doubled; every other cell is written as is, so a
+// free-text label can never add a column.
+TEST(CsvWriter, QuotesFieldsWithSeparatorsOrQuotes) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "gcnrl_csv_quoting.csv")
+          .string();
+  {
+    CsvWriter csv(path);
+    csv.row({"task", "label", "best"});
+    csv.row({"0", "ES, short \"run\"", "1.5"});
+    csv.row({"1", "two\nlines", "cr\rcell"});
+    csv.row({"2", "plain-label_1.0", ""});
+  }
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  EXPECT_EQ(text.str(),
+            "task,label,best\n"
+            "0,\"ES, short \"\"run\"\"\",1.5\n"
+            "1,\"two\nlines\",\"cr\rcell\"\n"
+            "2,plain-label_1.0,\n");
 }
 
 }  // namespace

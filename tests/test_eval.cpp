@@ -27,6 +27,7 @@
 #include "opt/mace.hpp"
 #include "rl/ddpg.hpp"
 #include "rl/run_loop.hpp"
+#include "serial_reference.hpp"
 #include "sim/mna.hpp"
 #include "test_helpers.hpp"
 
@@ -276,8 +277,8 @@ TEST(EvalService, RunOptimizerTraceIsThreadCountInvariant) {
   env::SizingEnv e4(make_synthetic(), env::IndexMode::OneHot, config(4, 256));
   gcnrl::opt::CmaEs es1(e1.flat_dim(), Rng(99));
   gcnrl::opt::CmaEs es4(e4.flat_dim(), Rng(99));
-  const auto r1 = gcnrl::rl::run_optimizer(e1, es1, 150);
-  const auto r4 = gcnrl::rl::run_optimizer(e4, es4, 150);
+  const auto r1 = gcnrl::testing::run_optimizer(e1, es1, 150);
+  const auto r4 = gcnrl::testing::run_optimizer(e4, es4, 150);
   ASSERT_EQ(r1.best_trace.size(), r4.best_trace.size());
   for (std::size_t i = 0; i < r1.best_trace.size(); ++i) {
     EXPECT_DOUBLE_EQ(r1.best_trace[i], r4.best_trace[i]) << i;
@@ -792,7 +793,7 @@ TEST(RunOptimizer, TerminatesWhenAskReturnsEmptyPopulation) {
   // the step budget.
   env::SizingEnv e(make_synthetic(), env::IndexMode::OneHot, config(1, 16));
   DryingOptimizer stub(e.flat_dim());
-  const auto r = gcnrl::rl::run_optimizer(e, stub, 100);
+  const auto r = gcnrl::testing::run_optimizer(e, stub, 100);
   EXPECT_EQ(r.evals, 2);
   EXPECT_EQ(r.best_trace.size(), 2u);
 }
@@ -831,7 +832,7 @@ TEST(RunOptimizer, SimBudgetChargesDistinctDesignsOnly) {
     // a, b, a(free repeat), c: the repeat must not consume budget, so a
     // budget of 3 sims admits all four evaluations.
     ScriptedOptimizer stub(e.flat_dim(), {a, b, a, c});
-    const auto r = gcnrl::rl::run_optimizer(e, stub, 100, 3);
+    const auto r = gcnrl::testing::run_optimizer(e, stub, 100, 3);
     EXPECT_EQ(r.evals, 4);
     EXPECT_EQ(r.sims, 3);
   }
@@ -842,7 +843,7 @@ TEST(RunOptimizer, SimBudgetChargesDistinctDesignsOnly) {
     env::SizingEnv e2(make_synthetic(), env::IndexMode::OneHot,
                       config(1, 64));
     ScriptedOptimizer stub(e2.flat_dim(), {a, b, a, c});
-    const auto r = gcnrl::rl::run_optimizer(e2, stub, 100, 2);
+    const auto r = gcnrl::testing::run_optimizer(e2, stub, 100, 2);
     EXPECT_EQ(r.sims, 2);
     EXPECT_EQ(r.evals, 2);
   }
@@ -857,8 +858,8 @@ TEST(RunOptimizer, SimChargeIsIndependentOfSharedCacheWarmth) {
   env::SizingEnv warm(make_synthetic(), env::IndexMode::OneHot, svc);
   gcnrl::opt::CmaEs es1(cold.flat_dim(), Rng(99));
   gcnrl::opt::CmaEs es2(warm.flat_dim(), Rng(99));
-  const auto r1 = gcnrl::rl::run_optimizer(cold, es1, 60);
-  const auto r2 = gcnrl::rl::run_optimizer(warm, es2, 60);
+  const auto r1 = gcnrl::testing::run_optimizer(cold, es1, 60);
+  const auto r2 = gcnrl::testing::run_optimizer(warm, es2, 60);
   // Identical seed, identical FoMs -> identical proposals: the second run
   // is served entirely from the first run's cache entries...
   EXPECT_EQ(warm.num_sims(), 0);
@@ -904,7 +905,7 @@ SerialRuns serial_runs(const OptimizerFactory& make,
                      config(1, 256));
     out.opts.push_back(make(e.flat_dim(), Rng(seed)));
     out.results.push_back(
-        gcnrl::rl::run_optimizer(e, *out.opts.back(), steps, max_sims));
+        gcnrl::testing::run_optimizer(e, *out.opts.back(), steps, max_sims));
   }
   return out;
 }

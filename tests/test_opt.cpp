@@ -542,6 +542,35 @@ TEST(Mace, OptimizesQuadratic) {
   EXPECT_GT(best, -0.05);
 }
 
+// Regression: MACE capped its GP training set with a plain best-N sort,
+// so a newest point outside the top N never entered the surrogate. It now
+// fits on BayesOpt's gp_training_subset: with a cap of 3 and the newest of
+// four points the worst, the fit must equal that of a twin told exactly
+// the kept points, in the subset's order.
+TEST(Mace, CappedFitKeepsTheNewestPoint) {
+  opt::MaceOptions mopt;
+  mopt.max_gp_points = 3;
+  mopt.initial_random = 2;
+  const std::vector<std::vector<double>> xs = {
+      {0.1, -0.3}, {-0.6, 0.4}, {0.7, 0.2}, {-0.2, -0.8}};
+  const std::vector<double> ys = {0.5, 0.9, 0.7, 0.1};  // newest is worst
+  opt::Mace capped(2, Rng(31), mopt);
+  capped.tell(xs, ys);
+
+  const std::vector<int> keep = opt::gp_training_subset(ys, 3);
+  ASSERT_EQ(keep, (std::vector<int>{1, 2, 3}));
+  std::vector<std::vector<double>> kept_xs;
+  std::vector<double> kept_ys;
+  for (const int i : keep) {
+    kept_xs.push_back(xs[static_cast<std::size_t>(i)]);
+    kept_ys.push_back(ys[static_cast<std::size_t>(i)]);
+  }
+  opt::Mace twin(2, Rng(31), mopt);
+  twin.tell(kept_xs, kept_ys);
+
+  EXPECT_EQ(capped.ask(), twin.ask());
+}
+
 namespace {
 
 // Drive two instances of one optimizer through the identical ask/tell

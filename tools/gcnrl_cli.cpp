@@ -12,16 +12,21 @@
 //                                     the per-task reports (determinism
 //                                     gate; non-zero exit on divergence)
 //   gcnrl_cli --csv out_ spec.json    also write per-task best-FoM traces
-//                                     to out_<label>.csv plus a per-seed
+//                                     (per seed plus their mean) to
+//                                     out_<label>.csv and a per-seed
 //                                     summary (best/evals/sims and the
 //                                     warm-start source of each task) to
 //                                     out_tasks.csv
+//
+// Every per-seed report line is followed by the metrics of that seed's
+// best design. The paper's experiments ship as specs/paper/*.json.
 //
 // The binary also demonstrates the registry extension point: it registers
 // one extra circuit, "Demo-OTA" (a five-transistor OTA; a trimmed twin of
 // examples/custom_circuit.cpp), purely through the public
 // api::register_circuit surface — spec files can target it like any
 // built-in (see specs/custom.json).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -111,8 +116,9 @@ const api::CircuitRegistrar demo_ota_registrar{"Demo-OTA", make_demo_ota};
 // --- reporting ------------------------------------------------------------
 
 // The comparable per-task report: everything in it is warmth-independent
-// (best FoM / evals / sims / trace fingerprint), so --repeat passes on one
-// shared warm service must reproduce it byte-for-byte.
+// (best FoM / evals / sims / trace fingerprint, and the metrics of the
+// best design), so --repeat passes on one shared warm service must
+// reproduce it byte-for-byte.
 std::string task_report(std::size_t index, const api::TaskResult& r) {
   char head[256];
   std::snprintf(head, sizeof(head),
@@ -131,6 +137,13 @@ std::string task_report(std::size_t index, const api::TaskResult& r) {
                   run.best_trace.size(),
                   api::trace_fingerprint(run.best_trace).c_str());
     out += row;
+    out += "    metrics:";
+    for (const auto& [name, value] : run.best_metrics) {
+      char num[32];
+      std::snprintf(num, sizeof(num), "%.17g", value);
+      out += " " + name + "=" + num;
+    }
+    out += '\n';
   }
   return out;
 }
@@ -159,24 +172,37 @@ std::string trace_path(const std::string& prefix, const api::TaskResult& r,
   return path;
 }
 
+// Per-step best-so-far FoM: one column per seed, then the mean over the
+// seeds (each adds x / n in seed order) up to the shortest trace — the
+// curve the paper's Figs. 5, 7 and 8 plot. Cells past a trace's end stay
+// blank.
 void write_traces(const std::string& path, const api::TaskResult& r) {
   CsvWriter csv(path);
   std::vector<std::string> header = {"step"};
   for (std::size_t s = 0; s < r.runs.size(); ++s) {
     header.push_back("seed" + std::to_string(s));
   }
+  header.emplace_back("mean");
   csv.row(header);
   std::size_t max_len = 0;
+  std::size_t min_len = r.runs.front().best_trace.size();
   for (const auto& run : r.runs) {
     max_len = std::max(max_len, run.best_trace.size());
+    min_len = std::min(min_len, run.best_trace.size());
   }
+  const auto n = static_cast<double>(r.runs.size());
   for (std::size_t i = 0; i < max_len; ++i) {
     std::vector<std::string> row = {std::to_string(i + 1)};
+    double mean = 0.0;
     for (const auto& run : r.runs) {
-      row.push_back(i < run.best_trace.size()
-                        ? TextTable::num(run.best_trace[i], 6)
-                        : "");
+      if (i < run.best_trace.size()) {
+        row.push_back(TextTable::num(run.best_trace[i], 6));
+        mean += run.best_trace[i] / n;
+      } else {
+        row.emplace_back();
+      }
     }
+    row.push_back(i < min_len ? TextTable::num(mean, 6) : "");
     csv.row(row);
   }
   std::printf("wrote %s\n", path.c_str());
