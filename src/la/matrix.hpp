@@ -3,8 +3,10 @@
 // This is the numerical workhorse shared by the neural-network stack
 // (real matrices) and the circuit simulator's MNA systems (complex
 // matrices for AC analysis). It deliberately stays small: dynamic 2-D
-// storage, elementwise arithmetic, and a cache-friendly matmul. Anything
-// fancier (LU, Cholesky) lives in sibling headers.
+// storage, elementwise arithmetic, and the matrix products the agent's
+// forward and backward passes run on. The products write into
+// caller-owned outputs, so a pass over preallocated buffers allocates
+// nothing. Anything fancier (LU, Cholesky) lives in sibling headers.
 #pragma once
 
 #include <cassert>
@@ -81,14 +83,6 @@ class Matrix {
   friend Matrix operator*(Matrix a, T s) { return a *= s; }
   friend Matrix operator*(T s, Matrix a) { return a *= s; }
 
-  [[nodiscard]] Matrix transpose() const {
-    Matrix t(cols_, rows_);
-    for (int r = 0; r < rows_; ++r) {
-      for (int c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-    }
-    return t;
-  }
-
   [[nodiscard]] bool same_shape(const Matrix& o) const {
     return rows_ == o.rows_ && cols_ == o.cols_;
   }
@@ -106,60 +100,92 @@ class Matrix {
 using Mat = Matrix<double>;
 using CMat = Matrix<std::complex<double>>;
 
-// C = A * B with an i-k-j loop order (streams B's rows; vectorizes well).
+namespace detail {
+
+// Output columns per register block: 16 doubles stay in eight SSE2
+// registers and the block's inner loop vectorizes on baseline x86-64.
+inline constexpr int kMatmulBlock = 16;
+
+// Row i of C = (A or A^T) * B, with A's entries for that row read at
+// a[k * a_stride] for k = 0..k_dim-1. Each element's sum runs over k in
+// ascending order from +0 and skips zero entries of A, exactly as a plain
+// i-k-j loop does; the finished sum is then stored into C, or added to
+// it. Blocking over columns changes only which elements are in flight, so
+// the result is the same bit for bit. Skipping a zero term leaves a sum
+// from +0 as it was whenever the term's other factor is finite, so the
+// same loop also forms, bit for bit, the serial dot products of A * B^T
+// over the rows of a transposed, finite B.
 template <typename T>
-Matrix<T> matmul(const Matrix<T>& a, const Matrix<T>& b) {
-  assert(a.cols() == b.rows());
-  Matrix<T> c(a.rows(), b.cols());
-  const int n = a.rows(), k_dim = a.cols(), m = b.cols();
-  for (int i = 0; i < n; ++i) {
-    T* __restrict ci = c.row_ptr(i);
+void matmul_row(const T* a, std::size_t a_stride, int k_dim,
+                const Matrix<T>& b, T* ci, bool accumulate) {
+  const int m = b.cols();
+  int j0 = 0;
+  for (; j0 + kMatmulBlock <= m; j0 += kMatmulBlock) {
+    T acc[kMatmulBlock] = {};
     for (int k = 0; k < k_dim; ++k) {
-      const T aik = a(i, k);
+      const T aik = a[k * a_stride];
       if (aik == T{}) continue;
-      const T* __restrict bk = b.row_ptr(k);
-      for (int j = 0; j < m; ++j) ci[j] += aik * bk[j];
+      const T* __restrict bk = b.row_ptr(k) + j0;
+      for (int j = 0; j < kMatmulBlock; ++j) acc[j] += aik * bk[j];
+    }
+    T* __restrict cj = ci + j0;
+    if (accumulate) {
+      for (int j = 0; j < kMatmulBlock; ++j) cj[j] += acc[j];
+    } else {
+      for (int j = 0; j < kMatmulBlock; ++j) cj[j] = acc[j];
     }
   }
-  return c;
+  if (j0 == m) return;
+  T acc[kMatmulBlock] = {};
+  for (int k = 0; k < k_dim; ++k) {
+    const T aik = a[k * a_stride];
+    if (aik == T{}) continue;
+    const T* __restrict bk = b.row_ptr(k) + j0;
+    for (int j = 0; j < m - j0; ++j) acc[j] += aik * bk[j];
+  }
+  for (int j = 0; j < m - j0; ++j) {
+    ci[j0 + j] = accumulate ? ci[j0 + j] + acc[j] : acc[j];
+  }
 }
 
-// C = A^T * B without materializing the transpose (hot in backprop).
+}  // namespace detail
+
+// C = A * B into the caller-owned C (A.rows() x B.cols()), or C += A * B
+// with `accumulate`. See detail::matmul_row for the summation order.
 template <typename T>
-Matrix<T> matmul_tn(const Matrix<T>& a, const Matrix<T>& b) {
+void matmul(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c,
+            bool accumulate = false) {
+  assert(a.cols() == b.rows());
+  assert(c.rows() == a.rows() && c.cols() == b.cols());
+  for (int i = 0; i < a.rows(); ++i) {
+    detail::matmul_row(a.row_ptr(i), 1, a.cols(), b, c.row_ptr(i),
+                       accumulate);
+  }
+}
+
+// C = A^T * B into the caller-owned C (A.cols() x B.cols()), or C += A^T *
+// B with `accumulate`, without materializing the transpose: element (i, j)
+// sums A(k, i) * B(k, j) over A's rows k in ascending order, skipping zero
+// entries of A.
+template <typename T>
+void matmul_tn(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c,
+               bool accumulate = false) {
   assert(a.rows() == b.rows());
-  Matrix<T> c(a.cols(), b.cols());
-  const int n = a.rows(), p = a.cols(), m = b.cols();
-  for (int k = 0; k < n; ++k) {
-    const T* __restrict ak = a.row_ptr(k);
-    const T* __restrict bk = b.row_ptr(k);
-    for (int i = 0; i < p; ++i) {
-      const T aki = ak[i];
-      if (aki == T{}) continue;
-      T* __restrict ci = c.row_ptr(i);
-      for (int j = 0; j < m; ++j) ci[j] += aki * bk[j];
-    }
+  assert(c.rows() == a.cols() && c.cols() == b.cols());
+  const auto stride = static_cast<std::size_t>(a.cols());
+  for (int i = 0; i < a.cols(); ++i) {
+    detail::matmul_row(a.data() + i, stride, a.rows(), b, c.row_ptr(i),
+                       accumulate);
   }
-  return c;
 }
 
-// C = A * B^T without materializing the transpose (hot in backprop).
+// out = A^T into a caller-owned out (A.cols() x A.rows()).
 template <typename T>
-Matrix<T> matmul_nt(const Matrix<T>& a, const Matrix<T>& b) {
-  assert(a.cols() == b.cols());
-  Matrix<T> c(a.rows(), b.rows());
-  const int n = a.rows(), k_dim = a.cols(), m = b.rows();
-  for (int i = 0; i < n; ++i) {
-    const T* __restrict ai = a.row_ptr(i);
-    T* __restrict ci = c.row_ptr(i);
-    for (int j = 0; j < m; ++j) {
-      const T* __restrict bj = b.row_ptr(j);
-      T acc{};
-      for (int k = 0; k < k_dim; ++k) acc += ai[k] * bj[k];
-      ci[j] = acc;
-    }
+void transpose(const Matrix<T>& a, Matrix<T>& out) {
+  assert(out.rows() == a.cols() && out.cols() == a.rows());
+  for (int r = 0; r < a.rows(); ++r) {
+    for (int c = 0; c < a.cols(); ++c) out(c, r) = a(r, c);
   }
-  return c;
 }
 
 template <typename T>

@@ -1,7 +1,6 @@
 // Adam optimizer (Kingma & Ba 2015) over nn::Parameter.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "nn/module.hpp"
@@ -14,8 +13,11 @@ class Adam {
                 double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-8);
 
   // Applies one update from the gradients currently stored in the
-  // parameters; does NOT zero gradients (callers own that).
+  // parameters; does NOT zero gradients (zero_grad() does).
   void step();
+  void zero_grad() {
+    for (Parameter* p : params_) p->zero_grad();
+  }
   void set_lr(double lr) { lr_ = lr; }
   [[nodiscard]] double lr() const { return lr_; }
 

@@ -29,14 +29,20 @@ la::Mat normalized_adjacency(const la::Mat& adjacency) {
 
 GcnLayer::GcnLayer(std::string name, int in_features, int out_features,
                    Rng& rng)
-    : w_(name + ".w", xavier_uniform(in_features, out_features, rng)),
-      b_(name + ".b", la::Mat(1, out_features)) {}
+    : lin_(std::move(name), in_features, out_features, rng) {}
 
-ag::Var GcnLayer::forward(ag::Tape& tape, ag::Var h, const la::Mat& a_hat) {
-  ag::Var w = leaf(tape, w_);
-  ag::Var b = leaf(tape, b_);
-  ag::Var agg = ag::matmul_const_left(a_hat, h);
-  return ag::add_row_broadcast(ag::matmul(agg, w), b);
+void GcnLayer::forward(const la::Mat& a_hat, const la::Mat& h, la::Mat& agg,
+                       la::Mat& z) const {
+  la::matmul(a_hat, h, agg);
+  lin_.forward(agg, z);
+}
+
+void GcnLayer::backward(const la::Mat& a_hat, const la::Mat& agg,
+                        const la::Mat& dz, la::Mat& d_agg, la::Mat& dh,
+                        bool param_grads) {
+  lin_.backward_input(dz, d_agg);
+  if (param_grads) lin_.accumulate_grads(agg, dz);
+  la::matmul_tn(a_hat, d_agg, dh, /*accumulate=*/true);
 }
 
 }  // namespace gcnrl::nn

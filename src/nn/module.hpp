@@ -2,17 +2,16 @@
 //
 // A Parameter owns its value and gradient buffers; Modules expose their
 // parameters so optimizers (nn::Adam) and the weight (de)serializer can
-// iterate them generically. Forward passes are written against an
-// ag::Tape: Module::leaf() lifts a Parameter onto the tape as a
-// differentiable node whose gradient is accumulated back into the
-// Parameter at the end of Tape::backward().
+// iterate them generically. Layers run hand-written forward and backward
+// passes over caller-owned buffers (nn/linear.hpp, nn/gcn.hpp); a backward
+// pass adds each parameter's gradient into Parameter::grad, so one
+// optimizer step is "Adam.zero_grad(), forward, backward, Adam.step()".
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "autograd/ops.hpp"
-#include "autograd/tape.hpp"
+#include "la/matrix.hpp"
 
 namespace gcnrl::nn {
 
@@ -34,15 +33,6 @@ class Module {
   virtual ~Module() = default;
   // All trainable parameters of this module (and submodules).
   virtual std::vector<Parameter*> parameters() = 0;
-
-  void zero_grad() {
-    for (Parameter* p : parameters()) p->zero_grad();
-  }
-
- protected:
-  // Lift a parameter onto a tape. The returned Var's pull-back adds the
-  // node gradient into p.grad, so gradients survive Tape::clear().
-  static ag::Var leaf(ag::Tape& tape, Parameter& p);
 };
 
 }  // namespace gcnrl::nn

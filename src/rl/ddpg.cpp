@@ -1,5 +1,7 @@
 #include "rl/ddpg.hpp"
 
+#include <algorithm>
+
 namespace gcnrl::rl {
 namespace {
 
@@ -14,20 +16,38 @@ NetworkConfig net_config(const DdpgConfig& cfg, int state_dim) {
 
 }  // namespace
 
-void critic_backward(GcnCritic& critic, const la::Mat& state,
-                     const la::Mat& a_hat, const TypeMasks& masks,
+void critic_backward(GcnCritic& critic, GcnCritic::Pass& pass,
+                     const la::Mat& state, const la::Mat& a_hat,
+                     const TypeMasks& masks,
                      std::span<const Transition* const> batch,
                      double baseline) {
   const double inv_b = 1.0 / static_cast<double>(batch.size());
+  // d/dQ of inv_b * (Q - target)^2 is g * (Q - target), with g the tape's
+  // 2 * (0 + 1 * inv_b) / 1, which is 2 * inv_b exactly.
+  const double g = 2.0 * inv_b;
+  critic.cache_transposes();
+  critic.forward_state(pass, state);
   for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
     const Transition& t = **it;
-    ag::Tape tape;
-    ag::Var q = critic.forward(tape, tape.constant(state),
-                               tape.constant(t.actions), a_hat, masks);
-    la::Mat target(1, 1);
-    target(0, 0) = t.reward - baseline;
-    tape.backward(ag::scale(ag::mse_const(q, target), inv_b));
+    const double q = critic.forward(pass, t.actions, a_hat, masks);
+    const double target = t.reward - baseline;
+    critic.backward_params(pass, 0.0 + g * (q - target), state, t.actions,
+                           a_hat, masks);
   }
+}
+
+void actor_backward(GcnActor& actor, GcnActor::Pass& actor_pass,
+                    GcnCritic& critic, GcnCritic::Pass& critic_pass,
+                    const la::Mat& state, const la::Mat& a_hat,
+                    const TypeMasks& masks) {
+  actor.cache_transposes();
+  critic.cache_transposes();
+  actor.forward(actor_pass, state, a_hat, masks);
+  critic.forward_state(critic_pass, state);
+  critic.forward(critic_pass, actor_pass.out, a_hat, masks);
+  // Loss -Q: Q's gradient is 0 + 1 * -1.
+  critic.backward_actions(critic_pass, -1.0, a_hat, masks, actor_pass.d_out);
+  actor.backward(actor_pass, state, a_hat, masks);
 }
 
 DdpgAgent::DdpgAgent(const la::Mat& state, const la::Mat& adjacency,
@@ -44,9 +64,16 @@ DdpgAgent::DdpgAgent(const la::Mat& state, const la::Mat& adjacency,
       critic_(net_config(cfg, state.cols()), rng_),
       opt_actor_(actor_.parameters(), cfg.lr_actor),
       opt_critic_(critic_.parameters(), cfg.lr_critic),
-      noise_(cfg.sigma0, cfg.sigma_decay, cfg.sigma_min) {}
+      actor_pass_(state.rows(), net_config(cfg, state.cols())),
+      critic_pass_(state.rows(), net_config(cfg, state.cols())),
+      noise_(cfg.sigma0, cfg.sigma_decay, cfg.sigma_min) {
+  batch_.reserve(static_cast<std::size_t>(std::max(cfg.batch, 0)));
+}
 
-la::Mat DdpgAgent::act() { return actor_.act(state_, a_hat_, masks_); }
+la::Mat DdpgAgent::act() {
+  actor_.forward(actor_pass_, state_, a_hat_, masks_);
+  return actor_pass_.out;
+}
 
 la::Mat DdpgAgent::act_explore() {
   if (episode_ < cfg_.warmup) {
@@ -60,7 +87,8 @@ la::Mat DdpgAgent::act_explore() {
 }
 
 double DdpgAgent::q_value(const la::Mat& actions) {
-  return critic_.value(state_, actions, a_hat_, masks_);
+  critic_.forward_state(critic_pass_, state_);
+  return critic_.forward(critic_pass_, actions, a_hat_, masks_);
 }
 
 void DdpgAgent::observe(const la::Mat& actions, double reward) {
@@ -79,28 +107,20 @@ void DdpgAgent::observe(const la::Mat& actions, double reward) {
 }
 
 void DdpgAgent::update() {
-  const auto batch = replay_.sample(cfg_.batch, rng_);
-  if (batch.empty()) return;
-  const double b = baseline_.value_or(0.0);
+  replay_.sample(cfg_.batch, rng_, batch_);
+  if (batch_.empty()) return;
 
   // --- critic: minimize mean (R - B - Q(S,A))^2 ------------------------
-  critic_.zero_grad();
-  critic_backward(critic_, state_, a_hat_, masks_, batch, b);
+  opt_critic_.zero_grad();
+  critic_backward(critic_, critic_pass_, state_, a_hat_, masks_, batch_,
+                  baseline_.value_or(0.0));
   opt_critic_.step();
 
   // --- actor: ascend Q(S, mu(S)) ---------------------------------------
-  actor_.zero_grad();
-  critic_.zero_grad();  // critic params receive grads here; discard them
-  {
-    ag::Tape tape;
-    ag::Var a = actor_.forward(tape, tape.constant(state_), a_hat_, masks_);
-    ag::Var q = critic_.forward(tape, tape.constant(state_), a, a_hat_,
-                                masks_);
-    ag::Var loss = ag::scale(q, -1.0);
-    tape.backward(loss);
-  }
+  opt_actor_.zero_grad();
+  actor_backward(actor_, actor_pass_, critic_, critic_pass_, state_, a_hat_,
+                 masks_);
   opt_actor_.step();
-  critic_.zero_grad();
 }
 
 void DdpgAgent::save(const std::string& path) {

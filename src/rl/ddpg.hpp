@@ -44,17 +44,26 @@ struct DdpgConfig {
   double baseline_tau = 0.05;  // EMA coefficient for the reward baseline B
 };
 
-// Critic half of one update: accumulates into the critic's parameter grads
-// the gradient of (1/B) * sum_i (Q(S, A_i) - (R_i - baseline))^2 over the B
-// transitions of a non-empty `batch`. Each sample gets its own small tape,
-// visited last to first. A single tape over the whole batch reaches sample
-// B-1's parameter leaves first in its reverse sweep, so the gradients
-// accumulate in the same order and come out bit-identical, while only one
-// sample's graph is alive at a time.
-void critic_backward(GcnCritic& critic, const la::Mat& state,
-                     const la::Mat& a_hat, const TypeMasks& masks,
+// Critic half of one update: adds into the critic's parameter grads the
+// gradient of (1/B) * sum_i (Q(S, A_i) - (R_i - baseline))^2 over the B
+// transitions of a non-empty `batch`. FC(S) runs once; then each sample
+// runs forward and backward through `pass`, last sample first, so each
+// parameter's per-sample gradients are added in the order a reverse-mode
+// tape over the whole batch adds them, and the result equals that tape's
+// bit for bit (the tests hold it to the tape).
+void critic_backward(GcnCritic& critic, GcnCritic::Pass& pass,
+                     const la::Mat& state, const la::Mat& a_hat,
+                     const TypeMasks& masks,
                      std::span<const Transition* const> batch,
                      double baseline);
+
+// Actor half of one update: adds into the actor's parameter grads the
+// gradient of -Q(S, mu(S)), the deterministic policy gradient through the
+// critic. The critic's parameter grads are not touched.
+void actor_backward(GcnActor& actor, GcnActor::Pass& actor_pass,
+                    GcnCritic& critic, GcnCritic::Pass& critic_pass,
+                    const la::Mat& state, const la::Mat& a_hat,
+                    const TypeMasks& masks);
 
 class DdpgAgent {
  public:
@@ -73,6 +82,9 @@ class DdpgAgent {
   // Record the reward for `actions`; advances the episode counter and runs
   // the critic/actor updates once past warm-up.
   void observe(const la::Mat& actions, double reward);
+  // One critic step and one actor step on a replay batch. Runs in the
+  // workspaces sized at construction, so it allocates nothing.
+  void update();
 
   // Critic's current value estimate (diagnostics / tests).
   double q_value(const la::Mat& actions);
@@ -89,8 +101,6 @@ class DdpgAgent {
   std::vector<nn::Parameter*> parameters();
 
  private:
-  void update();
-
   DdpgConfig cfg_;
   Rng rng_;
   la::Mat state_;
@@ -101,7 +111,10 @@ class DdpgAgent {
   GcnCritic critic_;
   nn::Adam opt_actor_;
   nn::Adam opt_critic_;
+  GcnActor::Pass actor_pass_;
+  GcnCritic::Pass critic_pass_;
   ReplayBuffer replay_;
+  std::vector<const Transition*> batch_;  // update()'s replay sample
   TruncatedNormalNoise noise_;
   std::optional<double> baseline_;
   int episode_ = 0;

@@ -11,14 +11,12 @@ void ReplayBuffer::push(la::Mat actions, double reward) {
   }
 }
 
-std::vector<const Transition*> ReplayBuffer::sample(std::size_t batch,
-                                                    Rng& rng) const {
-  std::vector<const Transition*> out;
-  out.reserve(batch);
+void ReplayBuffer::sample(std::size_t batch, Rng& rng,
+                          std::vector<const Transition*>& out) const {
+  out.clear();
   for (std::size_t i = 0; i < batch && !data_.empty(); ++i) {
     out.push_back(&data_[rng.uniform_index(data_.size())]);
   }
-  return out;
 }
 
 }  // namespace gcnrl::rl

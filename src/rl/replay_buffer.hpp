@@ -27,9 +27,10 @@ class ReplayBuffer {
   [[nodiscard]] bool empty() const { return data_.empty(); }
   void clear() { data_.clear(); next_ = 0; }
 
-  // Uniform sample with replacement; batch can exceed size().
-  [[nodiscard]] std::vector<const Transition*> sample(std::size_t batch,
-                                                      Rng& rng) const;
+  // Uniform sample with replacement into `out` (cleared first; no
+  // allocation once its capacity reaches `batch`); batch can exceed size().
+  void sample(std::size_t batch, Rng& rng,
+              std::vector<const Transition*>& out) const;
   [[nodiscard]] const Transition& operator[](std::size_t i) const {
     return data_[i];
   }

@@ -14,11 +14,38 @@ Tape* common_tape(const Var& a, const Var& b) {
   return a.tape();
 }
 
+la::Mat product(const la::Mat& a, const la::Mat& b) {
+  la::Mat c(a.rows(), b.cols());
+  la::matmul(a, b, c);
+  return c;
+}
+
+la::Mat product_tn(const la::Mat& a, const la::Mat& b) {
+  la::Mat c(a.cols(), b.cols());
+  la::matmul_tn(a, b, c);
+  return c;
+}
+
+// C = A * B^T with each element a serial dot product over k from +0, no
+// entry skipped: the textbook order the hand-written passes reproduce.
+la::Mat product_nt(const la::Mat& a, const la::Mat& b) {
+  assert(a.cols() == b.cols());
+  la::Mat c(a.rows(), b.rows());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < b.rows(); ++j) {
+      double acc = 0.0;
+      for (int k = 0; k < a.cols(); ++k) acc += a(i, k) * b(j, k);
+      c(i, j) = acc;
+    }
+  }
+  return c;
+}
+
 }  // namespace
 
 Var matmul(Var a, Var b) {
   Tape* t = common_tape(a, b);
-  la::Mat out = la::matmul(a.value(), b.value());
+  la::Mat out = product(a.value(), b.value());
   Node* an = a.node();
   Node* bn = b.node();
   const bool rg = an->requires_grad || bn->requires_grad;
@@ -26,8 +53,8 @@ Var matmul(Var a, Var b) {
   if (rg) {
     Node* cn = c.node();
     cn->pullback = [an, bn, cn] {
-      if (an->requires_grad) an->grad += la::matmul_nt(cn->grad, bn->val);
-      if (bn->requires_grad) bn->grad += la::matmul_tn(an->val, cn->grad);
+      if (an->requires_grad) an->grad += product_nt(cn->grad, bn->val);
+      if (bn->requires_grad) bn->grad += product_tn(an->val, cn->grad);
     };
   }
   return c;
@@ -35,7 +62,7 @@ Var matmul(Var a, Var b) {
 
 Var matmul_const_left(const la::Mat& k, Var a) {
   Tape* t = a.tape();
-  la::Mat out = la::matmul(k, a.value());
+  la::Mat out = product(k, a.value());
   Node* an = a.node();
   const bool rg = an->requires_grad;
   Var c = t->make(std::move(out), rg, nullptr);
@@ -43,7 +70,7 @@ Var matmul_const_left(const la::Mat& k, Var a) {
     Node* cn = c.node();
     // d/dA (K A) pull-back: K^T @ grad.
     la::Mat kt = k;  // copy captured by value
-    cn->pullback = [an, cn, kt] { an->grad += la::matmul_tn(kt, cn->grad); };
+    cn->pullback = [an, cn, kt] { an->grad += product_tn(kt, cn->grad); };
   }
   return c;
 }

@@ -1,11 +1,13 @@
-// Tape-based reverse-mode automatic differentiation over dense matrices.
+// Tape-based reverse-mode automatic differentiation over dense matrices:
+// the gradient oracle of the tests.
 //
-// The RL agent's actor/critic networks (FC + GCN stacks) are built on this:
-// a Tape records every op in creation order; backward() walks the tape in
+// A Tape records every op in creation order; backward() walks the tape in
 // reverse, applying each node's stored pull-back. Leaves created from
-// nn::Parameter accumulate their gradient directly into the parameter's
-// grad buffer, so an optimizer step is just "zero grads, forward, backward,
-// Adam.step()".
+// nn::Parameter (ag::leaf in autograd/networks.hpp) accumulate their
+// gradient directly into the parameter's grad buffer. The library's
+// hand-written actor and critic passes reproduce this tape's arithmetic
+// bit for bit; test_autograd checks the tape against finite differences
+// and the hand-written passes against the tape.
 //
 // Design notes
 //  * Nodes are owned by the tape (vector of unique_ptr), so raw Node*

@@ -1,8 +1,11 @@
 // Unit tests for the dense linear-algebra substrate.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <complex>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -101,31 +104,125 @@ TEST(Matrix, IdentityAndArithmetic) {
 TEST(Matrix, MatmulAgainstManual) {
   la::Mat a{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
   la::Mat b{{7.0, 8.0}, {9.0, 10.0}, {11.0, 12.0}};
-  la::Mat c = la::matmul(a, b);
+  la::Mat c(2, 2);
+  la::matmul(a, b, c);
   EXPECT_DOUBLE_EQ(c(0, 0), 58.0);
   EXPECT_DOUBLE_EQ(c(0, 1), 64.0);
   EXPECT_DOUBLE_EQ(c(1, 0), 139.0);
   EXPECT_DOUBLE_EQ(c(1, 1), 154.0);
+  la::matmul(a, b, c, /*accumulate=*/true);
+  EXPECT_DOUBLE_EQ(c(1, 1), 308.0);
 }
 
 TEST(Matrix, MatmulTransposedVariantsAgree) {
   Rng rng(7);
   la::Mat a = random_mat(5, 4, rng);
   la::Mat b = random_mat(5, 3, rng);
-  la::Mat c1 = la::matmul_tn(a, b);            // A^T B
-  la::Mat c2 = la::matmul(a.transpose(), b);
-  ASSERT_TRUE(c1.same_shape(c2));
+  la::Mat c1(4, 3), at(4, 5), c2(4, 3);
+  la::matmul_tn(a, b, c1);  // A^T B
+  la::transpose(a, at);
+  la::matmul(at, b, c2);
   for (int i = 0; i < c1.rows(); ++i) {
     for (int j = 0; j < c1.cols(); ++j) {
       EXPECT_NEAR(c1(i, j), c2(i, j), 1e-12);
     }
   }
-  la::Mat d = random_mat(4, 5, rng);
-  la::Mat e1 = la::matmul_nt(a, d.transpose());  // A * D (since (D^T)^T = D)
-  la::Mat e2 = la::matmul(a, d);
-  for (int i = 0; i < e1.rows(); ++i) {
-    for (int j = 0; j < e1.cols(); ++j) {
-      EXPECT_NEAR(e1(i, j), e2(i, j), 1e-12);
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < a.cols(); ++j) EXPECT_EQ(at(j, i), a(i, j));
+  }
+}
+
+namespace {
+
+// Bit-for-bit equal, or both NaN (which NaN payload survives an
+// addition of two NaNs depends on operand order, which the compiler may
+// swap).
+bool same_bits(double x, double y) {
+  return (std::isnan(x) && std::isnan(y)) ||
+         std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+// The i-k-j loop the register-blocked kernels must equal bit for bit:
+// C(i, j) summed over k in ascending order from +0, skipping zero A(i, k).
+la::Mat ikj_product(const la::Mat& a, const la::Mat& b) {
+  la::Mat c(a.rows(), b.cols());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int k = 0; k < a.cols(); ++k) {
+      if (a(i, k) == 0.0) continue;
+      for (int j = 0; j < b.cols(); ++j) c(i, j) += a(i, k) * b(k, j);
+    }
+  }
+  return c;
+}
+
+// C(i, j) as the serial dot product of A's row i and B's row j.
+la::Mat dot_product_nt(const la::Mat& a, const la::Mat& b) {
+  la::Mat c(a.rows(), b.rows());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < b.rows(); ++j) {
+      double acc = 0.0;
+      for (int k = 0; k < a.cols(); ++k) acc += a(i, k) * b(j, k);
+      c(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+// Random entries, a third of them +0 or -0, so the zero skip and signed
+// zeros are exercised; with `special`, B also holds infinities and NaN.
+la::Mat holey_mat(int r, int c, Rng& rng, bool special = false) {
+  la::Mat m = random_mat(r, c, rng);
+  for (int i = 0; i < r; ++i) {
+    for (int j = 0; j < c; ++j) {
+      const double u = rng.uniform();
+      if (u < 0.17) m(i, j) = 0.0;
+      else if (u < 0.33) m(i, j) = -0.0;
+      else if (special && u < 0.36) m(i, j) = u < 0.345 ? HUGE_VAL : NAN;
+    }
+  }
+  return m;
+}
+
+}  // namespace
+
+// Blocking over 16 output columns, the tail path, A^T without a copy and
+// the accumulate form all keep each element's summation order, and A B^T
+// over the transpose of a finite B equals the serial dot products.
+TEST(Matrix, BlockedKernelsMatchIkjLoopBitwise) {
+  Rng rng(11);
+  for (const int m : {1, 3, 15, 16, 17, 32, 33, 50}) {
+    for (const bool special : {false, true}) {
+      const la::Mat a = holey_mat(7, 9, rng);
+      const la::Mat b = holey_mat(9, m, rng, special);
+      const la::Mat want = ikj_product(a, b);
+      la::Mat got(7, m);
+      la::matmul(a, b, got);
+      la::Mat at(9, 7);
+      la::transpose(a, at);
+      la::Mat got_tn(7, m);
+      la::matmul_tn(at, b, got_tn);
+      la::Mat base = holey_mat(7, m, rng);
+      la::Mat got_acc = base;
+      la::matmul(a, b, got_acc, /*accumulate=*/true);
+      const la::Mat b_rows = holey_mat(m, 9, rng);
+      const la::Mat want_nt = dot_product_nt(a, b_rows);
+      la::Mat b_rows_t(9, m);
+      la::transpose(b_rows, b_rows_t);
+      la::Mat got_nt = base;
+      la::matmul(a, b_rows_t, got_nt, /*accumulate=*/true);
+      for (int i = 0; i < 7; ++i) {
+        for (int j = 0; j < m; ++j) {
+          const std::string at_ij = "m=" + std::to_string(m) + " (" +
+                                    std::to_string(i) + "," +
+                                    std::to_string(j) + ")";
+          EXPECT_TRUE(same_bits(got(i, j), want(i, j))) << at_ij;
+          EXPECT_TRUE(same_bits(got_tn(i, j), want(i, j))) << at_ij;
+          EXPECT_TRUE(same_bits(got_acc(i, j), base(i, j) + want(i, j)))
+              << at_ij;
+          EXPECT_TRUE(same_bits(got_nt(i, j), base(i, j) + want_nt(i, j)))
+              << at_ij;
+        }
+      }
     }
   }
 }
@@ -227,7 +324,9 @@ TEST(Cholesky, SolveSpd) {
   const int n = 10;
   la::Mat g = random_mat(n, n, rng);
   // A = G G^T + n I is SPD.
-  la::Mat a = la::matmul_nt(g, g);
+  la::Mat gt(n, n), a(n, n);
+  la::transpose(g, gt);
+  la::matmul(g, gt, a);
   for (int i = 0; i < n; ++i) a(i, i) += n;
   std::vector<double> x_true(n);
   for (auto& v : x_true) v = rng.uniform(-1.0, 1.0);

@@ -1,4 +1,6 @@
-// Tests for the NN stack: Linear, GCN layer, Adam, init, serialization.
+// Tests for the NN stack: GCN adjacency, Adam, init, serialization. The
+// layers' forward and backward passes are held to the tape oracle in
+// test_autograd.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +14,6 @@
 #include "nn/linear.hpp"
 #include "nn/serialize.hpp"
 
-namespace ag = gcnrl::ag;
 namespace la = gcnrl::la;
 namespace nn = gcnrl::nn;
 using gcnrl::Rng;
@@ -26,42 +27,6 @@ TEST(Init, XavierBounds) {
       EXPECT_LE(std::fabs(m(r, c)), a);
     }
   }
-}
-
-TEST(Linear, ForwardMatchesManual) {
-  Rng rng(2);
-  nn::Linear lin("l", 3, 2, rng);
-  la::Mat x{{1.0, 2.0, 3.0}, {-1.0, 0.5, 0.0}};
-  ag::Tape tape;
-  ag::Var y = lin.forward(tape, tape.input(x));
-  ASSERT_EQ(y.rows(), 2);
-  ASSERT_EQ(y.cols(), 2);
-  const la::Mat& w = lin.parameters()[0]->value;
-  const la::Mat& b = lin.parameters()[1]->value;
-  for (int r = 0; r < 2; ++r) {
-    for (int c = 0; c < 2; ++c) {
-      double expect = b(0, c);
-      for (int k = 0; k < 3; ++k) expect += x(r, k) * w(k, c);
-      EXPECT_NEAR(y.value()(r, c), expect, 1e-12);
-    }
-  }
-}
-
-TEST(Linear, GradientsFlowToParameters) {
-  Rng rng(3);
-  nn::Linear lin("l", 2, 2, rng);
-  la::Mat x{{1.0, -1.0}};
-  ag::Tape tape;
-  lin.zero_grad();
-  ag::Var loss = ag::sum_all(lin.forward(tape, tape.input(x)));
-  tape.backward(loss);
-  // d loss / d b = 1 per output; d loss / d w = x^T broadcast.
-  const la::Mat& gb = lin.parameters()[1]->grad;
-  EXPECT_DOUBLE_EQ(gb(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(gb(0, 1), 1.0);
-  const la::Mat& gw = lin.parameters()[0]->grad;
-  EXPECT_DOUBLE_EQ(gw(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(gw(1, 1), -1.0);
 }
 
 TEST(Gcn, NormalizedAdjacencyTwoNodeChain) {
@@ -93,40 +58,8 @@ TEST(Gcn, NormalizedAdjacencyIsSymmetric) {
   for (int i = 0; i < n; ++i) EXPECT_NEAR(id_hat(i, i), 1.0, 1e-12);
 }
 
-TEST(Gcn, IdentityAdjacencyEqualsSharedFc) {
-  // With A-hat = I the GCN layer must behave exactly like a Linear with
-  // the same weights (the NG-RL ablation).
-  Rng rng(5);
-  nn::GcnLayer gcn("g", 3, 2, rng);
-  la::Mat x{{0.3, -0.2, 1.0}, {0.1, 0.8, -0.5}};
-  const la::Mat eye = la::Mat::identity(2);
-  ag::Tape tape;
-  ag::Var y = gcn.forward(tape, tape.input(x), eye);
-  const la::Mat& w = gcn.parameters()[0]->value;
-  const la::Mat& b = gcn.parameters()[1]->value;
-  for (int r = 0; r < 2; ++r) {
-    for (int c = 0; c < 2; ++c) {
-      double expect = b(0, c);
-      for (int k = 0; k < 3; ++k) expect += x(r, k) * w(k, c);
-      EXPECT_NEAR(y.value()(r, c), expect, 1e-12);
-    }
-  }
-}
-
-TEST(Gcn, AggregationMixesNeighbors) {
-  Rng rng(6);
-  nn::GcnLayer gcn("g", 1, 1, rng);
-  la::Mat a{{0.0, 1.0}, {1.0, 0.0}};
-  const la::Mat ahat = nn::normalized_adjacency(a);
-  la::Mat x{{1.0}, {3.0}};
-  ag::Tape tape;
-  ag::Var y = gcn.forward(tape, tape.input(x), ahat);
-  // Both rows aggregate to 0.5*(1+3) = 2 before the affine map -> equal.
-  EXPECT_NEAR(y.value()(0, 0), y.value()(1, 0), 1e-12);
-}
-
 TEST(Adam, MinimizesQuadratic) {
-  // Minimize ||x - target||^2 over a parameter vector via the Module path.
+  // Minimize mean((x - target)^2) over a parameter vector.
   struct Quad : nn::Module {
     nn::Parameter p{"p", la::Mat(1, 4)};
     std::vector<nn::Parameter*> parameters() override { return {&p}; }
@@ -134,14 +67,10 @@ TEST(Adam, MinimizesQuadratic) {
   la::Mat target{{1.0, -2.0, 0.5, 3.0}};
   nn::Adam opt(quad.parameters(), 0.05);
   for (int it = 0; it < 500; ++it) {
-    quad.zero_grad();
-    ag::Tape tape;
-    ag::Var x = tape.make(quad.p.value, true, nullptr);
-    ag::Node* node = x.node();
-    nn::Parameter* pp = &quad.p;
-    node->pullback = [pp, node] { pp->grad += node->grad; };
-    ag::Var loss = ag::mse_const(x, target);
-    tape.backward(loss);
+    opt.zero_grad();
+    for (int c = 0; c < 4; ++c) {
+      quad.p.grad(0, c) += 2.0 / 4.0 * (quad.p.value(0, c) - target(0, c));
+    }
     opt.step();
   }
   for (int c = 0; c < 4; ++c) {

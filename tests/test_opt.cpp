@@ -358,7 +358,9 @@ TEST(GpReference, PackedCholeskyMatchesRowByRowBitwise) {
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) g(i, j) = rng.uniform(-1.0, 1.0);
     }
-    la::Mat a = la::matmul_nt(g, g);
+    la::Mat gt(n, n), a(n, n);
+    la::transpose(g, gt);
+    la::matmul(g, gt, a);
     for (int i = 0; i < n; ++i) a(i, i) += 0.1;
     std::vector<double> packed = packed_lower(a);
     const DenseCholesky ref(a);

@@ -1,10 +1,9 @@
 // Tests for the RL stack: replay buffer, exploration noise, actor/critic
-// networks, the DDPG agent on a synthetic bandit, and weight transfer.
+// networks, the DDPG agent on a synthetic bandit, and weight transfer. The
+// networks' gradients are held to the tape oracle in test_autograd.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <vector>
 
 #include "rl/ddpg.hpp"
@@ -76,7 +75,8 @@ TEST(ReplayBuffer, PushSampleRing) {
   }
   EXPECT_GE(min_r, 2.0);
   EXPECT_LE(max_r, 4.0);
-  const auto batch = buf.sample(10, rng);
+  std::vector<const rl::Transition*> batch;
+  buf.sample(10, rng, batch);
   EXPECT_EQ(batch.size(), 10u);  // with replacement
 }
 
@@ -124,7 +124,9 @@ TEST(Networks, ActorOutputsBoundedActions) {
   rl::GcnActor actor(cfg, rng);
   const auto masks = rl::make_type_masks(toy.kinds, cfg.hidden);
   const la::Mat ahat = gcnrl::nn::normalized_adjacency(toy.adjacency);
-  const la::Mat a = actor.act(toy.state, ahat, masks);
+  rl::GcnActor::Pass pass(toy.n, cfg);
+  actor.forward(pass, toy.state, ahat, masks);
+  const la::Mat& a = pass.out;
   ASSERT_EQ(a.rows(), toy.n);
   ASSERT_EQ(a.cols(), gcnrl::circuit::kMaxActionDim);
   for (int i = 0; i < a.rows(); ++i) {
@@ -145,99 +147,12 @@ TEST(Networks, CriticProducesScalarSensitiveToActions) {
   const la::Mat ahat = gcnrl::nn::normalized_adjacency(toy.adjacency);
   la::Mat a1(toy.n, 3, 0.2);
   la::Mat a2(toy.n, 3, -0.7);
-  const double q1 = critic.value(toy.state, a1, ahat, masks);
-  const double q2 = critic.value(toy.state, a2, ahat, masks);
+  rl::GcnCritic::Pass pass(toy.n, cfg);
+  critic.forward_state(pass, toy.state);
+  const double q1 = critic.forward(pass, a1, ahat, masks);
+  const double q2 = critic.forward(pass, a2, ahat, masks);
   EXPECT_TRUE(std::isfinite(q1));
   EXPECT_NE(q1, q2);
-}
-
-namespace {
-
-// Reference for rl::critic_backward: the whole batch's regression loss
-// recorded on ONE tape — each sample's graph, a running add() chain of the
-// per-sample losses, one 1/B scale — then a single backward pass.
-void one_tape_critic_backward(rl::GcnCritic& critic, const la::Mat& state,
-                              const la::Mat& a_hat,
-                              const rl::TypeMasks& masks,
-                              const std::vector<const rl::Transition*>& batch,
-                              double baseline) {
-  gcnrl::ag::Tape tape;
-  gcnrl::ag::Var loss;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    gcnrl::ag::Var q =
-        critic.forward(tape, tape.constant(state),
-                       tape.constant(batch[i]->actions), a_hat, masks);
-    la::Mat target(1, 1);
-    target(0, 0) = batch[i]->reward - baseline;
-    gcnrl::ag::Var l = gcnrl::ag::mse_const(q, target);
-    loss = i == 0 ? l : gcnrl::ag::add(loss, l);
-  }
-  loss = gcnrl::ag::scale(loss, 1.0 / static_cast<double>(batch.size()));
-  tape.backward(loss);
-}
-
-std::vector<la::Mat> grads_of(rl::GcnCritic& critic) {
-  std::vector<la::Mat> out;
-  for (const gcnrl::nn::Parameter* p : critic.parameters()) {
-    out.push_back(p->grad);
-  }
-  return out;
-}
-
-}  // namespace
-
-// The per-sample tapes of DdpgAgent's critic update must reproduce the
-// one-tape batch loss bit for bit, not merely to rounding: lockstep-vs-
-// serial tests run the same update on both sides and cannot see a drift.
-// B = 5 makes 1/B inexact; the batch repeats one transition, as sampling
-// with replacement does.
-TEST(Ddpg, PerSampleCriticTapesMatchOneTapeBatchBitwise) {
-  Toy toy;
-  rl::NetworkConfig cfg;
-  cfg.state_dim = toy.state.cols();
-  const auto masks = rl::make_type_masks(toy.kinds, cfg.hidden);
-  const la::Mat ahat = gcnrl::nn::normalized_adjacency(toy.adjacency);
-  for (const std::size_t b : {std::size_t{32}, std::size_t{5}}) {
-    Rng rng(21 + b);
-    rl::GcnCritic critic(cfg, rng);
-    std::vector<rl::Transition> data(b);
-    for (rl::Transition& t : data) {
-      t.actions = la::Mat(toy.n, gcnrl::circuit::kMaxActionDim);
-      for (int i = 0; i < t.actions.rows(); ++i) {
-        for (int j = 0; j < t.actions.cols(); ++j) {
-          t.actions(i, j) = rng.uniform(-1.0, 1.0);
-        }
-      }
-      t.reward = rng.uniform(-3.0, 3.0);
-    }
-    std::vector<const rl::Transition*> batch;
-    for (const rl::Transition& t : data) batch.push_back(&t);
-    batch[1] = batch[b - 1];
-    const double baseline = 0.37;
-
-    critic.zero_grad();
-    one_tape_critic_backward(critic, toy.state, ahat, masks, batch, baseline);
-    const std::vector<la::Mat> want = grads_of(critic);
-    critic.zero_grad();
-    rl::critic_backward(critic, toy.state, ahat, masks, batch, baseline);
-    const std::vector<la::Mat> got = grads_of(critic);
-
-    ASSERT_EQ(got.size(), want.size());
-    int nonzero = 0;
-    for (std::size_t p = 0; p < want.size(); ++p) {
-      ASSERT_TRUE(got[p].same_shape(want[p]));
-      for (int i = 0; i < want[p].rows(); ++i) {
-        for (int j = 0; j < want[p].cols(); ++j) {
-          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[p](i, j)),
-                    std::bit_cast<std::uint64_t>(want[p](i, j)))
-              << "B=" << b << " " << critic.parameters()[p]->name << "(" << i
-              << "," << j << "): " << got[p](i, j) << " vs " << want[p](i, j);
-          nonzero += want[p](i, j) != 0.0 ? 1 : 0;
-        }
-      }
-    }
-    EXPECT_GT(nonzero, 0) << "B=" << b;
-  }
 }
 
 TEST(Ddpg, WarmupActionsAreRandomAndBounded) {

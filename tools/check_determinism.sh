@@ -36,7 +36,6 @@ UNORDERED_ALLOW="
 src/circuit/netlist.hpp
 src/env/eval_service.hpp
 src/env/eval_service.cpp
-src/nn/adam.hpp
 src/rl/run_loop.cpp
 "
 
