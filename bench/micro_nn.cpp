@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks for the NN/RL substrate at the agent's
-// real sizes: a dense product, the actor's forward pass, one critic update
+// real sizes: a dense product, each copy of the product's row kernel, the
+// actor's forward pass, one critic update
 // and one actor update (Algorithm 1's two halves of an update), and one
 // observe() past warm-up (four updates). The circuit rows use Two-TIA (9
 // nodes, perfbench's gcnrl_2tia circuit) and Two-Volt (23 nodes) at 180 nm
@@ -31,6 +32,38 @@ void BM_Matmul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2l * n * n * n);
 }
 BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(128);
+
+// A 9 x 32 by 32 x 32 product (a width-32 Linear on Two-TIA's 9 nodes),
+// row by row through one copy of the row kernel, as la::matmul runs it.
+void BM_MatmulRow(benchmark::State& state, la::detail::MatmulRow row) {
+  Rng rng(1);
+  la::Mat a(9, 32), b(32, 32), c(9, 32);
+  for (int i = 0; i < 32; ++i) {
+    for (int j = 0; j < 32; ++j) {
+      if (i < 9) a(i, j) = rng.uniform(-1, 1);
+      b(i, j) = rng.uniform(-1, 1);
+    }
+  }
+  for (auto _ : state) {
+    for (int i = 0; i < a.rows(); ++i) {
+      row(a.row_ptr(i), 1, a.cols(), b, c.row_ptr(i), false);
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2l * 9 * 32 * 32);
+}
+BENCHMARK_CAPTURE(BM_MatmulRow, baseline, la::detail::matmul_row_baseline);
+#ifdef GCNRL_LA_AVX2_ROW_KERNEL
+void BM_MatmulRowAvx2(benchmark::State& state) {
+  if (!la::detail::cpu_has_avx2()) {
+    state.SkipWithError("this CPU has no AVX2");
+    return;
+  }
+  BM_MatmulRow(state, la::detail::matmul_row_avx2);
+}
+BENCHMARK(BM_MatmulRowAvx2)->Name("BM_MatmulRow/avx2");
+#endif
 
 // What DdpgAgent builds its networks' inputs from, for one circuit.
 struct Circuit {

@@ -3,8 +3,8 @@
 // This is the numerical workhorse shared by the neural-network stack
 // (real matrices) and the circuit simulator's MNA systems (complex
 // matrices for AC analysis). It deliberately stays small: dynamic 2-D
-// storage, elementwise arithmetic, and the matrix products the agent's
-// forward and backward passes run on. The products write into
+// storage, elementwise arithmetic, and the real matrix products the
+// agent's forward and backward passes run on. The products write into
 // caller-owned outputs, so a pass over preallocated buffers allocates
 // nothing. Anything fancier (LU, Cholesky) lives in sibling headers.
 #pragma once
@@ -102,10 +102,6 @@ using CMat = Matrix<std::complex<double>>;
 
 namespace detail {
 
-// Output columns per register block: 16 doubles stay in eight SSE2
-// registers and the block's inner loop vectorizes on baseline x86-64.
-inline constexpr int kMatmulBlock = 16;
-
 // Row i of C = (A or A^T) * B, with A's entries for that row read at
 // a[k * a_stride] for k = 0..k_dim-1. Each element's sum runs over k in
 // ascending order from +0 and skips zero entries of A, exactly as a plain
@@ -115,69 +111,39 @@ inline constexpr int kMatmulBlock = 16;
 // from +0 as it was whenever the term's other factor is finite, so the
 // same loop also forms, bit for bit, the serial dot products of A * B^T
 // over the rows of a transposed, finite B.
-template <typename T>
-void matmul_row(const T* a, std::size_t a_stride, int k_dim,
-                const Matrix<T>& b, T* ci, bool accumulate) {
-  const int m = b.cols();
-  int j0 = 0;
-  for (; j0 + kMatmulBlock <= m; j0 += kMatmulBlock) {
-    T acc[kMatmulBlock] = {};
-    for (int k = 0; k < k_dim; ++k) {
-      const T aik = a[k * a_stride];
-      if (aik == T{}) continue;
-      const T* __restrict bk = b.row_ptr(k) + j0;
-      for (int j = 0; j < kMatmulBlock; ++j) acc[j] += aik * bk[j];
-    }
-    T* __restrict cj = ci + j0;
-    if (accumulate) {
-      for (int j = 0; j < kMatmulBlock; ++j) cj[j] += acc[j];
-    } else {
-      for (int j = 0; j < kMatmulBlock; ++j) cj[j] = acc[j];
-    }
-  }
-  if (j0 == m) return;
-  T acc[kMatmulBlock] = {};
-  for (int k = 0; k < k_dim; ++k) {
-    const T aik = a[k * a_stride];
-    if (aik == T{}) continue;
-    const T* __restrict bk = b.row_ptr(k) + j0;
-    for (int j = 0; j < m - j0; ++j) acc[j] += aik * bk[j];
-  }
-  for (int j = 0; j < m - j0; ++j) {
-    ci[j0 + j] = accumulate ? ci[j0 + j] + acc[j] : acc[j];
-  }
-}
+//
+// The kernel is built from one body twice: matmul_row_baseline for the
+// target's baseline instruction set and, on x86-64 GCC/Clang,
+// matmul_row_avx2 for AVX2. AVX2 brings no FMA, and no translation unit
+// contracts a*b+c, so every product and sum rounds as in the baseline
+// copy: the two agree bit for bit. matmul and matmul_tn call the AVX2
+// copy when the CPU has AVX2 (checked once per process).
+using MatmulRow = void (*)(const double* a, std::size_t a_stride, int k_dim,
+                           const Mat& b, double* ci, bool accumulate);
+
+void matmul_row_baseline(const double* a, std::size_t a_stride, int k_dim,
+                         const Mat& b, double* ci, bool accumulate);
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define GCNRL_LA_AVX2_ROW_KERNEL 1
+// Call only where cpu_has_avx2().
+void matmul_row_avx2(const double* a, std::size_t a_stride, int k_dim,
+                     const Mat& b, double* ci, bool accumulate);
+bool cpu_has_avx2();
+#endif
 
 }  // namespace detail
 
 // C = A * B into the caller-owned C (A.rows() x B.cols()), or C += A * B
-// with `accumulate`. See detail::matmul_row for the summation order.
-template <typename T>
-void matmul(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c,
-            bool accumulate = false) {
-  assert(a.cols() == b.rows());
-  assert(c.rows() == a.rows() && c.cols() == b.cols());
-  for (int i = 0; i < a.rows(); ++i) {
-    detail::matmul_row(a.row_ptr(i), 1, a.cols(), b, c.row_ptr(i),
-                       accumulate);
-  }
-}
+// with `accumulate`. See detail::matmul_row_baseline for the summation
+// order.
+void matmul(const Mat& a, const Mat& b, Mat& c, bool accumulate = false);
 
 // C = A^T * B into the caller-owned C (A.cols() x B.cols()), or C += A^T *
 // B with `accumulate`, without materializing the transpose: element (i, j)
 // sums A(k, i) * B(k, j) over A's rows k in ascending order, skipping zero
 // entries of A.
-template <typename T>
-void matmul_tn(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c,
-               bool accumulate = false) {
-  assert(a.rows() == b.rows());
-  assert(c.rows() == a.cols() && c.cols() == b.cols());
-  const auto stride = static_cast<std::size_t>(a.cols());
-  for (int i = 0; i < a.cols(); ++i) {
-    detail::matmul_row(a.data() + i, stride, a.rows(), b, c.row_ptr(i),
-                       accumulate);
-  }
-}
+void matmul_tn(const Mat& a, const Mat& b, Mat& c, bool accumulate = false);
 
 // out = A^T into a caller-owned out (A.cols() x A.rows()).
 template <typename T>

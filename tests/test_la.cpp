@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <complex>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -183,41 +184,82 @@ la::Mat holey_mat(int r, int c, Rng& rng, bool special = false) {
   return m;
 }
 
-}  // namespace
+// C = A B and C = A^T B formed one way: through one row kernel, driven
+// row by row as matmul and matmul_tn drive it, or by the dispatched
+// matmul and matmul_tn themselves.
+struct Products {
+  std::string name;
+  std::function<void(const la::Mat&, const la::Mat&, la::Mat&, bool)> mul;
+  std::function<void(const la::Mat&, const la::Mat&, la::Mat&, bool)> mul_tn;
+};
 
-// Blocking over 16 output columns, the tail path, A^T without a copy and
-// the accumulate form all keep each element's summation order, and A B^T
-// over the transpose of a finite B equals the serial dot products.
-TEST(Matrix, BlockedKernelsMatchIkjLoopBitwise) {
+Products row_kernel_products(std::string name, la::detail::MatmulRow row) {
+  return {std::move(name),
+          [row](const la::Mat& a, const la::Mat& b, la::Mat& c, bool acc) {
+            for (int i = 0; i < a.rows(); ++i) {
+              row(a.row_ptr(i), 1, a.cols(), b, c.row_ptr(i), acc);
+            }
+          },
+          [row](const la::Mat& a, const la::Mat& b, la::Mat& c, bool acc) {
+            const auto stride = static_cast<std::size_t>(a.cols());
+            for (int i = 0; i < a.cols(); ++i) {
+              row(a.data() + i, stride, a.rows(), b, c.row_ptr(i), acc);
+            }
+          }};
+}
+
+// Blocking over 32 output columns, the tail path, A^T without a copy and
+// the accumulate forms all keep each element's summation order, and A B^T
+// over the transpose of a finite B equals the serial dot products. Shapes
+// (rows x inner x cols of C = A B): 7 x 9 x m for widths around the block
+// edges, and the agent's 9 x 32 x 32 (a Linear of width 32), 9 x 9 x 32
+// (A-hat H) and 32 x 9 x 32 (A^T B over a 9 x 32 A: a weight gradient).
+void expect_matches_ikj_loop(const Products& p) {
+  struct Shape {
+    int n, k, m;
+  };
+  std::vector<Shape> shapes;
+  for (const int m : {1, 3, 15, 16, 17, 31, 32, 33, 50, 64, 65}) {
+    shapes.push_back({7, 9, m});
+  }
+  shapes.push_back({9, 32, 32});
+  shapes.push_back({9, 9, 32});
+  shapes.push_back({32, 9, 32});
   Rng rng(11);
-  for (const int m : {1, 3, 15, 16, 17, 32, 33, 50}) {
+  for (const Shape& sh : shapes) {
+    const int n = sh.n, k = sh.k, m = sh.m;
     for (const bool special : {false, true}) {
-      const la::Mat a = holey_mat(7, 9, rng);
-      const la::Mat b = holey_mat(9, m, rng, special);
+      const la::Mat a = holey_mat(n, k, rng);
+      const la::Mat b = holey_mat(k, m, rng, special);
       const la::Mat want = ikj_product(a, b);
-      la::Mat got(7, m);
-      la::matmul(a, b, got);
-      la::Mat at(9, 7);
+      la::Mat got(n, m);
+      p.mul(a, b, got, false);
+      la::Mat at(k, n);
       la::transpose(a, at);
-      la::Mat got_tn(7, m);
-      la::matmul_tn(at, b, got_tn);
-      la::Mat base = holey_mat(7, m, rng);
+      la::Mat got_tn(n, m);
+      p.mul_tn(at, b, got_tn, false);
+      const la::Mat base = holey_mat(n, m, rng);
       la::Mat got_acc = base;
-      la::matmul(a, b, got_acc, /*accumulate=*/true);
-      const la::Mat b_rows = holey_mat(m, 9, rng);
+      p.mul(a, b, got_acc, true);
+      la::Mat got_tn_acc = base;
+      p.mul_tn(at, b, got_tn_acc, true);
+      const la::Mat b_rows = holey_mat(m, k, rng);
       const la::Mat want_nt = dot_product_nt(a, b_rows);
-      la::Mat b_rows_t(9, m);
+      la::Mat b_rows_t(k, m);
       la::transpose(b_rows, b_rows_t);
       la::Mat got_nt = base;
-      la::matmul(a, b_rows_t, got_nt, /*accumulate=*/true);
-      for (int i = 0; i < 7; ++i) {
+      p.mul(a, b_rows_t, got_nt, true);
+      for (int i = 0; i < n; ++i) {
         for (int j = 0; j < m; ++j) {
-          const std::string at_ij = "m=" + std::to_string(m) + " (" +
-                                    std::to_string(i) + "," +
-                                    std::to_string(j) + ")";
+          const std::string at_ij =
+              p.name + " " + std::to_string(n) + "x" + std::to_string(k) +
+              "x" + std::to_string(m) + " (" + std::to_string(i) + "," +
+              std::to_string(j) + ")";
           EXPECT_TRUE(same_bits(got(i, j), want(i, j))) << at_ij;
           EXPECT_TRUE(same_bits(got_tn(i, j), want(i, j))) << at_ij;
           EXPECT_TRUE(same_bits(got_acc(i, j), base(i, j) + want(i, j)))
+              << at_ij;
+          EXPECT_TRUE(same_bits(got_tn_acc(i, j), base(i, j) + want(i, j)))
               << at_ij;
           EXPECT_TRUE(same_bits(got_nt(i, j), base(i, j) + want_nt(i, j)))
               << at_ij;
@@ -225,6 +267,23 @@ TEST(Matrix, BlockedKernelsMatchIkjLoopBitwise) {
       }
     }
   }
+}
+
+}  // namespace
+
+// Both copies of the row kernel, and matmul / matmul_tn with the copy they
+// dispatch to on this CPU, against the i-k-j loop.
+TEST(Matrix, BlockedKernelsMatchIkjLoopBitwise) {
+  expect_matches_ikj_loop({"dispatched", la::matmul, la::matmul_tn});
+  expect_matches_ikj_loop(
+      row_kernel_products("baseline", la::detail::matmul_row_baseline));
+#ifdef GCNRL_LA_AVX2_ROW_KERNEL
+  if (!la::detail::cpu_has_avx2()) {
+    GTEST_SKIP() << "AVX2 row kernel leg skipped: this CPU has no AVX2";
+  }
+  expect_matches_ikj_loop(
+      row_kernel_products("avx2", la::detail::matmul_row_avx2));
+#endif
 }
 
 TEST(Matrix, Hadamard) {
