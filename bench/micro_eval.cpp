@@ -105,8 +105,9 @@ void BM_SingleEval_PerAnalysis(benchmark::State& state, const char* name) {
   c["noise_ms_per_eval"] = 1e3 * p.noise.seconds * inv;
   c["tran_ms_per_eval"] = 1e3 * p.tran.seconds * inv;
   // Phase split within each analysis (see sim::PhaseSeconds): the phases
-  // deliberately do not sum to the analysis total — device-model
-  // evaluation and convergence bookkeeping live between them.
+  // deliberately do not sum to the analysis total — convergence checks
+  // and bookkeeping live between them. In DC and the transient, device-
+  // model evaluation is part of assembly.
   const auto phase_rows = [&](const char* tag, const sim::AnalysisPerf& a) {
     c[std::string(tag) + "_assembly_ms_per_eval"] =
         1e3 * a.phase.assembly * inv;

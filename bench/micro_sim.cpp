@@ -2,6 +2,8 @@
 // bound the evaluation cost that every optimization step pays.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "circuits/benchmark_circuits.hpp"
 #include "common/rng.hpp"
 #include "env/sizing_env.hpp"
@@ -163,6 +165,52 @@ BENCHMARK_CAPTURE(BM_FullEval, two_tia, "Two-TIA");
 BENCHMARK_CAPTURE(BM_FullEval, two_volt, "Two-Volt");
 BENCHMARK_CAPTURE(BM_FullEval, three_tia, "Three-TIA");
 BENCHMARK_CAPTURE(BM_FullEval, ldo, "LDO");
+
+// Device-model cost per device: the LDO's nine MOSFETs at their
+// human-expert operating point, every terminal voltage perturbed by up to
+// 20 mV in each of 64 trajectory entries, evaluated one eval_mos call per
+// device (single) or one eval_mos_batch call per entry (batch). The
+// per_device counter is wall time over devices evaluated.
+void BM_MosEval(benchmark::State& state, bool batch) {
+  const auto bc = circuits::make_ldo(kTech);
+  circuit::Netlist nl = bc.netlist;
+  bc.space.apply(nl, bc.human_expert);
+  sim::Simulator s(nl, kTech);
+  const sim::OpPoint& op = s.op();
+  const sim::SimContext& ctx = s.context();
+  const auto& mosfets = nl.mosfets();
+  constexpr int kTraj = 64;
+  Rng rng(11);
+  std::vector<std::vector<sim::MosBias>> traj(kTraj);
+  for (auto& biases : traj) {
+    for (const auto& mos : mosfets) {
+      biases.push_back({op.v[mos.g] + rng.uniform(-0.02, 0.02),
+                        op.v[mos.d] + rng.uniform(-0.02, 0.02),
+                        op.v[mos.s] + rng.uniform(-0.02, 0.02)});
+    }
+  }
+  std::vector<sim::MosOp> out(mosfets.size());
+  for (auto _ : state) {
+    for (const auto& biases : traj) {
+      if (batch) {
+        sim::eval_mos_batch(ctx.devices, biases, out);
+      } else {
+        for (std::size_t k = 0; k < mosfets.size(); ++k) {
+          out[k] = sim::eval_mos(ctx.models[k], mosfets[k], biases[k].vg,
+                                 biases[k].vd, biases[k].vs);
+        }
+      }
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.counters["per_device"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kTraj *
+          static_cast<double>(mosfets.size()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_MosEval, single, false);
+BENCHMARK_CAPTURE(BM_MosEval, batch, true);
 
 void BM_EnvStepRandom_TwoTia(benchmark::State& state) {
   env::SizingEnv env(circuits::make_two_tia(kTech));

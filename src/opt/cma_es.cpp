@@ -10,10 +10,12 @@ namespace {
 
 // Jacobi eigendecomposition of a symmetric matrix: A = B diag(e) B^T.
 // Dimensions in this codebase are <= ~60, where Jacobi is plenty fast and
-// has excellent accuracy.
+// has excellent accuracy. Each rotation updates two columns of B, so the
+// sweeps rotate rows of B^T, which are contiguous, and B is transposed
+// back once at the end.
 void jacobi_eigen(la::Mat a, la::Mat& b, std::vector<double>& e) {
   const int n = a.rows();
-  b = la::Mat::identity(n);
+  la::Mat bt = la::Mat::identity(n);
   for (int sweep = 0; sweep < 100; ++sweep) {
     double off = 0.0;
     for (int p = 0; p < n; ++p) {
@@ -39,13 +41,15 @@ void jacobi_eigen(la::Mat a, la::Mat& b, std::vector<double>& e) {
           a(q, k) = s * apk + c * aqk;
         }
         for (int k = 0; k < n; ++k) {
-          const double bkp = b(k, p), bkq = b(k, q);
-          b(k, p) = c * bkp - s * bkq;
-          b(k, q) = s * bkp + c * bkq;
+          const double bkp = bt(p, k), bkq = bt(q, k);
+          bt(p, k) = c * bkp - s * bkq;
+          bt(q, k) = s * bkp + c * bkq;
         }
       }
     }
   }
+  b = la::Mat(n, n);
+  la::transpose(bt, b);
   e.resize(n);
   for (int i = 0; i < n; ++i) e[i] = a(i, i);
 }
@@ -185,15 +189,26 @@ void CmaEs::tell(const std::vector<std::vector<double>>& xs,
     pc_[i] = (1.0 - cc_) * pc_[i] + (hsig ? cc_fac * y_w[i] : 0.0);
   }
   const double c1a = c1_ * (1.0 - (hsig ? 0.0 : cc_ * (2.0 - cc_)));
+  // Each selected sample's y = (x - m_old) / sigma, computed once per
+  // coordinate with the step size as updated above, and w * y beside it:
+  // row i holds coordinate i of every selected sample, so the rank-mu
+  // sums below read two contiguous rows.
+  const std::size_t mu_n = static_cast<std::size_t>(mu_eff_count);
+  std::vector<double> y(mu_n * n_), wy(mu_n * n_);
+  for (int r = 0; r < mu_eff_count; ++r) {
+    const auto& x = xs[order[r]];
+    for (int i = 0; i < n_; ++i) {
+      const double yi = (x[i] - m_old[i]) / sigma_;
+      y[i * mu_n + r] = yi;
+      wy[i * mu_n + r] = w[r] * yi;
+    }
+  }
   for (int i = 0; i < n_; ++i) {
+    const double* wyi = wy.data() + i * mu_n;
     for (int j = 0; j < n_; ++j) {
+      const double* yj = y.data() + j * mu_n;
       double rank_mu = 0.0;
-      for (int r = 0; r < mu_eff_count; ++r) {
-        const auto& x = xs[order[r]];
-        const double yi = (x[i] - m_old[i]) / sigma_;
-        const double yj = (x[j] - m_old[j]) / sigma_;
-        rank_mu += w[r] * yi * yj;
-      }
+      for (int r = 0; r < mu_eff_count; ++r) rank_mu += wyi[r] * yj[r];
       c_(i, j) = (1.0 - c1a - cmu_) * c_(i, j) + c1_ * pc_[i] * pc_[j] +
                  cmu_ * rank_mu;
     }

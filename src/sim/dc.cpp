@@ -27,16 +27,18 @@ struct DcWork {
   la::Mat j;
   la::Lu<double> lu;
   std::vector<double> f, rhs, dx;
+  MosEval mos;
   PhaseSeconds phase;
 };
 
 // Build residual + dense Jacobian at unknown vector x. `alpha` scales all
 // independent sources (source stepping); `gmin` shunts every node. The
-// stamps and their order are the legacy dense assembly verbatim; only the
-// storage is reused between calls.
+// MOSFETs are evaluated in one batch up front; the stamps and their order
+// are the legacy dense assembly verbatim, and only the storage is reused
+// between calls.
 void build_dense(const SimContext& ctx, const std::vector<double>& x,
                  double alpha, double gmin, double source_time, la::Mat& j,
-                 std::vector<double>& f) {
+                 std::vector<double>& f, MosEval& mos_eval) {
   const MnaMap& m = ctx.map;
   const circuit::Netlist& nl = ctx.nl;
   if (j.rows() != m.dim() || j.cols() != m.dim()) {
@@ -56,10 +58,10 @@ void build_dense(const SimContext& ctx, const std::vector<double>& x,
     if (m.v(res.b) >= 0) f[m.v(res.b)] -= i;
   }
 
+  eval_mosfets(ctx, x, mos_eval);
   for (std::size_t k = 0; k < nl.mosfets().size(); ++k) {
     const auto& mos = nl.mosfets()[k];
-    const MosOp op = eval_mos(ctx.models[k], mos, volt(mos.g), volt(mos.d),
-                              volt(mos.s));
+    const MosOp& op = mos_eval.op[k];
     const int id_row = m.v(mos.d);
     const int is_row = m.v(mos.s);
     if (id_row >= 0) f[id_row] += op.id;
@@ -127,7 +129,7 @@ NewtonResult newton(const SimContext& ctx, DcWork& w, std::vector<double> x,
   for (int iter = 0; iter < max_iter; ++iter) {
     ++iters;
     const auto a0 = clock_type::now();
-    build_dense(ctx, x, alpha, gmin, opt.source_time, w.j, w.f);
+    build_dense(ctx, x, alpha, gmin, opt.source_time, w.j, w.f, w.mos);
     const auto a1 = clock_type::now();
     w.rhs.resize(w.f.size());
     for (std::size_t i = 0; i < w.f.size(); ++i) w.rhs[i] = -w.f[i];
@@ -167,7 +169,8 @@ NewtonResult newton(const SimContext& ctx, DcWork& w, std::vector<double> x,
   return {false, std::move(x), iters};
 }
 
-OpPoint finalize(const SimContext& ctx, const std::vector<double>& x) {
+OpPoint finalize(const SimContext& ctx, const std::vector<double>& x,
+                 MosEval& mos_eval) {
   const MnaMap& m = ctx.map;
   OpPoint op;
   op.v.resize(m.num_nodes(), 0.0);
@@ -176,13 +179,11 @@ OpPoint finalize(const SimContext& ctx, const std::vector<double>& x) {
   for (std::size_t k = 0; k < op.branch_i.size(); ++k) {
     op.branch_i[k] = x[m.branch(static_cast<int>(k))];
   }
-  op.mos.reserve(ctx.nl.mosfets().size());
+  eval_mosfets(ctx, x, mos_eval);
+  op.mos = mos_eval.op;
   op.caps.reserve(ctx.nl.mosfets().size());
   for (std::size_t k = 0; k < ctx.nl.mosfets().size(); ++k) {
-    const auto& mos = ctx.nl.mosfets()[k];
-    op.mos.push_back(eval_mos(ctx.models[k], mos, op.v[mos.g], op.v[mos.d],
-                              op.v[mos.s]));
-    op.caps.push_back(mos_caps(ctx.models[k], mos));
+    op.caps.push_back(mos_caps(ctx.models[k], ctx.nl.mosfets()[k]));
   }
   return op;
 }
@@ -239,7 +240,7 @@ OpPoint solve_dc(const SimContext& ctx, const DcOptions& opt,
       st.warm_converged = true;
       st.strategy = 0;
       record(true);
-      return finalize(ctx, nr.x);
+      return finalize(ctx, nr.x, w.mos);
     }
   }
   // Best converged unknown vector seen so far across strategies; later
@@ -287,7 +288,7 @@ OpPoint solve_dc(const SimContext& ctx, const DcOptions& opt,
     if (ok) {
       st.strategy = 1;
       record(true);
-      return finalize(ctx, xg);
+      return finalize(ctx, xg, w.mos);
     }
   }
 
@@ -321,7 +322,7 @@ OpPoint solve_dc(const SimContext& ctx, const DcOptions& opt,
       if (ok) {
         st.strategy = 2;
         record(true);
-        return finalize(ctx, xs);
+        return finalize(ctx, xs, w.mos);
       }
     }
   }
@@ -348,7 +349,7 @@ OpPoint solve_dc(const SimContext& ctx, const DcOptions& opt,
       if (nr.converged) {
         st.strategy = 3;
         record(true);
-        return finalize(ctx, nr.x);
+        return finalize(ctx, nr.x, w.mos);
       }
     }
   }

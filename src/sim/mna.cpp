@@ -15,13 +15,29 @@ SimContext::SimContext(const circuit::Netlist& netlist,
                        const circuit::Technology& technology)
     : nl(netlist), tech(technology), map(netlist) {
   models.reserve(nl.mosfets().size());
+  devices.reserve(nl.mosfets().size());
   for (const auto& mos : nl.mosfets()) {
     models.push_back(mos_model(tech, mos.is_pmos));
+    devices.push_back(mos_device(models.back(), mos));
   }
   structure = std::make_unique<MnaStructure>(nl, map);
 }
 
 SimContext::~SimContext() = default;
+
+void eval_mosfets(const SimContext& ctx, const std::vector<double>& x,
+                  MosEval& e) {
+  const MnaMap& m = ctx.map;
+  const auto volt = [&](int node) { return node == 0 ? 0.0 : x[m.v(node)]; };
+  const auto& mosfets = ctx.nl.mosfets();
+  e.bias.resize(mosfets.size());
+  e.op.resize(mosfets.size());
+  for (std::size_t k = 0; k < mosfets.size(); ++k) {
+    const auto& mos = mosfets[k];
+    e.bias[k] = {volt(mos.g), volt(mos.d), volt(mos.s)};
+  }
+  eval_mos_batch(ctx.devices, e.bias, e.op);
+}
 
 void stamp_conductance(la::Mat& j, const MnaMap& m, int a, int b, double g) {
   const int ia = m.v(a);

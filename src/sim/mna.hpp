@@ -68,6 +68,9 @@ struct SimContext {
   const circuit::Netlist& nl;
   circuit::Technology tech;
   std::vector<MosModel> models;  // aligned with nl.mosfets()
+  // Each MOSFET's model with its geometry-only factors hoisted, aligned
+  // with nl.mosfets(): what eval_mos_batch evaluates.
+  std::vector<MosDevice> devices;
   MnaMap map;
   // Sparse-engine structure (CSR pattern + stamp slots), computed once
   // per context from the topology alone — see sim/structure.hpp. Always
@@ -98,6 +101,20 @@ struct OpPoint {
   // Current delivered by voltage source k out of its + terminal.
   [[nodiscard]] double source_current(int k) const { return -branch_i.at(k); }
 };
+
+// Every MOSFET's operating data at one unknown vector, reused across
+// Newton iterations so that evaluating them allocates nothing after the
+// first.
+struct MosEval {
+  std::vector<MosBias> bias;  // aligned with nl.mosfets()
+  std::vector<MosOp> op;      // aligned with nl.mosfets()
+};
+
+// Gathers each MOSFET's terminal voltages from unknown vector x (ground
+// reads 0 V) into e.bias and evaluates them all in one eval_mos_batch
+// call into e.op.
+void eval_mosfets(const SimContext& ctx, const std::vector<double>& x,
+                  MosEval& e);
 
 // Dense-stamp helpers (ground rows/cols skipped).
 void stamp_conductance(la::Mat& j, const MnaMap& m, int a, int b, double g);

@@ -20,12 +20,15 @@
 namespace gcnrl::sim {
 
 // Wall time split by solver phase within one analysis call. `assembly` is
-// stamp evaluation + value-array/matrix fill, `factor` the LU
+// stamp evaluation + value-array/matrix fill; in DC and the transient it
+// includes every MOSFET's model evaluation, which build_dense and
+// build_tran_* run between the assembly clock reads. `factor` is the LU
 // factorization (for the sparse AC/noise sweep this includes the blocked
 // per-frequency scatter, which is part of the blocked refactorization),
 // `solve` the triangular solves. The phases never sum exactly to the
-// analysis' total seconds — device-model evaluation, convergence checks
-// and bookkeeping live between them.
+// analysis' total seconds — convergence checks, damping and bookkeeping
+// (and DC's evaluation of the converged operating point) live between
+// them.
 struct PhaseSeconds {
   double assembly = 0.0;
   double factor = 0.0;

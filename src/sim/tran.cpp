@@ -56,18 +56,19 @@ struct TranWork {
   la::SparseLuD* slu = nullptr;
   std::vector<double> vals;
   std::vector<double> f, rhs, dx;
+  MosEval mos;
   PhaseSeconds phase;
 };
 
 // Dense residual + Jacobian for one Newton iteration under the step's
-// source values (see eval_sources). The stamps and their order are the
-// legacy inline assembly verbatim; only the storage is reused between
-// calls.
+// source values (see eval_sources). The MOSFETs are evaluated in one
+// batch up front; the stamps and their order are the legacy inline
+// assembly verbatim, and only the storage is reused between calls.
 void build_tran_dense(const SimContext& ctx, const OpPoint& ic,
                       const std::vector<double>& x,
                       const std::vector<double>& x_prev,
                       const double* sources, double gh, double gmin,
-                      la::Mat& j, std::vector<double>& f) {
+                      la::Mat& j, std::vector<double>& f, MosEval& mos_eval) {
   const MnaMap& m = ctx.map;
   const circuit::Netlist& nl = ctx.nl;
   if (j.rows() != m.dim() || j.cols() != m.dim()) {
@@ -101,10 +102,10 @@ void build_tran_dense(const SimContext& ctx, const OpPoint& ic,
   };
   for (const auto& cap : nl.capacitors()) stamp_cap(cap.a, cap.b, cap.c);
 
+  eval_mosfets(ctx, x, mos_eval);
   for (std::size_t k = 0; k < nl.mosfets().size(); ++k) {
     const auto& mos = nl.mosfets()[k];
-    const MosOp op = eval_mos(ctx.models[k], mos, volt(x, mos.g),
-                              volt(x, mos.d), volt(x, mos.s));
+    const MosOp& op = mos_eval.op[k];
     const int id_row = m.v(mos.d);
     const int is_row = m.v(mos.s);
     if (id_row >= 0) f[id_row] += op.id;
@@ -165,7 +166,8 @@ void build_tran_sparse(const SimContext& ctx, const MnaStructure& st,
                        const OpPoint& ic, const std::vector<double>& x,
                        const std::vector<double>& x_prev,
                        const double* sources, double gh, double gmin,
-                       std::vector<double>& vals, std::vector<double>& f) {
+                       std::vector<double>& vals, std::vector<double>& f,
+                       MosEval& mos_eval) {
   const MnaMap& m = ctx.map;
   const circuit::Netlist& nl = ctx.nl;
   vals.assign(st.pattern.nnz(), 0.0);
@@ -200,10 +202,10 @@ void build_tran_sparse(const SimContext& ctx, const MnaStructure& st,
     cap_residual(cap.a, cap.b, g);
   }
 
+  eval_mosfets(ctx, x, mos_eval);
   for (std::size_t k = 0; k < nl.mosfets().size(); ++k) {
     const auto& mos = nl.mosfets()[k];
-    const MosOp op = eval_mos(ctx.models[k], mos, volt(x, mos.g),
-                              volt(x, mos.d), volt(x, mos.s));
+    const MosOp& op = mos_eval.op[k];
     const int id_row = m.v(mos.d);
     const int is_row = m.v(mos.s);
     if (id_row >= 0) f[id_row] += op.id;
@@ -265,7 +267,7 @@ void newton_step(const SimContext& ctx, const OpPoint& ic,
     if (w.slu) {
       const auto a0 = clock_type::now();
       build_tran_sparse(ctx, *w.st, ic, x, x_prev, sources, gh, opt.gmin,
-                        w.vals, w.f);
+                        w.vals, w.f, w.mos);
       const auto a1 = clock_type::now();
       if (!w.slu->factor_values(w.vals.data())) throw SparseEngineFallback{};
       const auto a2 = clock_type::now();
@@ -279,7 +281,8 @@ void newton_step(const SimContext& ctx, const OpPoint& ic,
       w.phase.solve += seconds_between(a2, a3);
     } else {
       const auto a0 = clock_type::now();
-      build_tran_dense(ctx, ic, x, x_prev, sources, gh, opt.gmin, w.j, w.f);
+      build_tran_dense(ctx, ic, x, x_prev, sources, gh, opt.gmin, w.j, w.f,
+                       w.mos);
       const auto a1 = clock_type::now();
       w.rhs.resize(w.f.size());
       for (std::size_t i = 0; i < w.f.size(); ++i) w.rhs[i] = -w.f[i];

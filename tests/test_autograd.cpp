@@ -8,12 +8,9 @@
 // checked to allocate nothing.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
-#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,6 +19,7 @@
 #include "autograd/ops.hpp"
 #include "autograd/tape.hpp"
 #include "common/rng.hpp"
+#include "heap_counter.hpp"
 #include "nn/adam.hpp"
 #include "rl/ddpg.hpp"
 
@@ -32,22 +30,7 @@ namespace rl = gcnrl::rl;
 using gcnrl::Rng;
 using gcnrl::circuit::Kind;
 
-// Every heap allocation in this binary goes through here, so a test can
-// count the allocations a call makes. Kept out of line so the compiler
-// does not pair an inlined free() with a new-expression at call sites.
-namespace {
-std::atomic<long> g_heap_allocs{0};
-}  // namespace
-
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
+using gcnrl::testing::g_heap_allocs;
 
 namespace {
 

@@ -17,6 +17,7 @@
 #include "opt/cma_es.hpp"
 #include "opt/mace.hpp"
 #include "opt/random_search.hpp"
+#include "test_helpers.hpp"
 
 namespace la = gcnrl::la;
 namespace opt = gcnrl::opt;
@@ -628,6 +629,36 @@ TEST(CmaEs, IdenticallySeededInstancesReplayIdentically) {
   opt::CmaEs a(4, Rng(23));
   opt::CmaEs b(4, Rng(23));
   expect_replay_determinism(a, b, 15);
+}
+
+// Forty generations of ask() at dim 57 (Three-TIA's action count), told a
+// fixed coupled objective, hashed byte for byte: the samples depend on
+// every mean, step-size, covariance and eigendecomposition update, so a
+// change to tell() or jacobi_eigen that moves a bit moves the digest.
+// Captured before the tell's y = (x - m)/sigma reuse and the transposed
+// Jacobi rotation; it depends on the platform's libm (exp, pow, sqrt, log).
+TEST(CmaEs, AskMatchesParentDigest) {
+  constexpr int kDim = 57;
+  constexpr std::uint64_t kDigest = 0x7e79b85d2fdc3aa7;
+  opt::CmaEs es(kDim, Rng(57));
+  std::vector<double> target(kDim);
+  Rng trng(58);
+  for (auto& t : target) t = trng.uniform(-0.6, 0.6);
+  std::uint64_t h = gcnrl::testing::kFnvBasis;
+  for (int gen = 0; gen < 40; ++gen) {
+    const auto xs = es.ask();
+    std::vector<double> ys;
+    for (const auto& x : xs) {
+      h = gcnrl::testing::fnv1a(h, x.data(), x.size() * sizeof(double));
+      double coupled = 0.0;
+      for (int i = 1; i < kDim; ++i) coupled += x[i - 1] * x[i];
+      ys.push_back(neg_sphere(x, target) + 0.1 * coupled);
+    }
+    es.tell(xs, ys);
+  }
+  const double sigma = es.sigma();
+  h = gcnrl::testing::fnv1a(h, &sigma, sizeof(sigma));
+  EXPECT_EQ(h, kDigest) << "0x" << std::hex << h;
 }
 
 TEST(NormalHelpers, PdfCdfSanity) {

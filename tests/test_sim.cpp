@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,11 +19,13 @@
 #include "circuits/benchmark_circuits.hpp"
 #include "common/rng.hpp"
 #include "env/circuit_compile.hpp"
+#include "heap_counter.hpp"
 #include "meas/ac_metrics.hpp"
 #include "meas/tran_metrics.hpp"
 #include "sim/perf.hpp"
 #include "sim/simulator.hpp"
 #include "sim/structure.hpp"
+#include "test_helpers.hpp"
 
 namespace circuit = gcnrl::circuit;
 namespace la = gcnrl::la;
@@ -839,19 +843,25 @@ TEST(Tran, RejectsUnrepresentableStepCount) {
 
 namespace {
 
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+using gcnrl::testing::fnv1a;
+using gcnrl::testing::kFnvBasis;
 
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+// The LDO's load-step and line-step edges and time grid, as
+// circuits/ldo.cpp sets them up.
+constexpr double kLdoEdge1 = 0.2e-6, kLdoEdge2 = 1.1e-6, kLdoRise = 10e-9;
+constexpr double kLdoTranDt = 2e-9;
 
-std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
-  return fnv1a(h, s.data(), s.size());
+// A sized LDO netlist with its load-step PWL on ILOAD.
+circuit::Netlist ldo_load_step_bench(const circuit::Netlist& sized) {
+  constexpr double kLoadNom = 5e-3, kLoadHigh = 10e-3;
+  circuit::Netlist load = sized;
+  load.find_isource("ILOAD")->pwl =
+      circuit::Pwl{{{0.0, kLoadNom},
+                    {kLdoEdge1, kLoadNom},
+                    {kLdoEdge1 + kLdoRise, kLoadHigh},
+                    {kLdoEdge2, kLoadHigh},
+                    {kLdoEdge2 + kLdoRise, kLoadNom}}};
+  return load;
 }
 
 // One LDO design's load-step and line-step transients, set up the way
@@ -862,8 +872,6 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
 // evaluate, this runs the transients on collapsed designs as well.
 std::uint64_t ldo_transient_digest(const gcnrl::env::BenchmarkCircuit& bc,
                                    const circuit::DesignParams& p) {
-  constexpr double kLoadNom = 5e-3, kLoadHigh = 10e-3;
-  constexpr double kEdge1 = 0.2e-6, kEdge2 = 1.1e-6, kRise = 10e-9;
   circuit::Netlist sized = bc.netlist;
   bc.space.apply(sized, p);
   std::uint64_t h = kFnvBasis;
@@ -873,25 +881,21 @@ std::uint64_t ldo_transient_digest(const gcnrl::env::BenchmarkCircuit& bc,
   } catch (const sim::SimError& e) {
     return fnv1a(h, std::string("dc: ") + e.what());
   }
-  circuit::Netlist load = sized;
-  load.find_isource("ILOAD")->pwl = circuit::Pwl{{{0.0, kLoadNom},
-                                                  {kEdge1, kLoadNom},
-                                                  {kEdge1 + kRise, kLoadHigh},
-                                                  {kEdge2, kLoadHigh},
-                                                  {kEdge2 + kRise, kLoadNom}}};
+  circuit::Netlist load = ldo_load_step_bench(sized);
   circuit::Netlist line = sized;
   const double v0 = kTech.vdd;
-  line.find_vsource("VDD")->pwl = circuit::Pwl{{{0.0, v0},
-                                                {kEdge1, v0},
-                                                {kEdge1 + kRise, v0 + 0.2},
-                                                {kEdge2, v0 + 0.2},
-                                                {kEdge2 + kRise, v0}}};
+  line.find_vsource("VDD")->pwl =
+      circuit::Pwl{{{0.0, v0},
+                    {kLdoEdge1, v0},
+                    {kLdoEdge1 + kLdoRise, v0 + 0.2},
+                    {kLdoEdge2, v0 + 0.2},
+                    {kLdoEdge2 + kLdoRise, v0}}};
   for (const circuit::Netlist* nl : {&load, &line}) {
     sim::Simulator s(*nl, kTech);
     s.warm_start_from(nom);
     sim::TranOptions opt;
     opt.tstop = 2.0e-6;
-    opt.dt = 2e-9;
+    opt.dt = kLdoTranDt;
     try {
       const sim::TranResult tr = s.tran(opt);
       h = fnv1a(h, tr.t.data(), tr.t.size() * sizeof(double));
@@ -945,5 +949,174 @@ TEST(Tran, WaveformsMatchParentDigests) {
       EXPECT_EQ(got, want[d]) << (sparse ? "sparse" : "dense") << " design "
                               << d << ": 0x" << std::hex << got;
     }
+  }
+}
+
+// The transient's Newton loops allocate nothing per iteration: on both
+// engines, solving the LDO's load-step bench from its t=0 operating point
+// for 200 and for 1000 steps makes the same number of heap allocations
+// (the run's workspace and its result). The longer run must solve more
+// steps, not only replay them: at 400 steps every step past 200 is a
+// replay, so a per-iteration allocation would not show.
+TEST(Tran, AllocationsDoNotGrowWithSteps) {
+  const auto bc = gcnrl::circuits::make_ldo(kTech);
+  circuit::Netlist sized = bc.netlist;
+  bc.space.apply(sized, bc.human_expert);
+  const circuit::Netlist load = ldo_load_step_bench(sized);
+  for (const bool sparse : {false, true}) {
+    SparseEngineGuard guard(sparse);
+    sim::Simulator s(load, kTech);
+    const sim::OpPoint& ic = s.op_at_time_zero();
+    std::vector<long> allocs, solved;
+    for (const int steps : {200, 1000}) {
+      sim::TranOptions opt;
+      opt.dt = kLdoTranDt;
+      opt.tstop = steps * kLdoTranDt;
+      sim::sim_perf_reset();
+      const long before = gcnrl::testing::g_heap_allocs.load();
+      sim::solve_tran(s.context(), ic, opt);
+      allocs.push_back(gcnrl::testing::g_heap_allocs.load() - before);
+      const sim::AnalysisPerf tran = sim::sim_perf_snapshot().tran;
+      solved.push_back(tran.items - tran.replayed);
+    }
+    const char* engine = sparse ? "sparse" : "dense";
+    EXPECT_GT(solved[1], solved[0]) << engine;
+    EXPECT_EQ(allocs[0], allocs[1]) << engine;
+  }
+}
+
+// ---------------------------------------------------------------------
+// Device model pinned bit for bit.
+// ---------------------------------------------------------------------
+
+namespace {
+
+// One evaluation of the device-model grid.
+struct MosCase {
+  sim::MosModel model;
+  circuit::Mosfet geom;
+  double vg = 0.0, vd = 0.0, vs = 0.0;
+};
+
+// A seeded grid over every branch of the model: NMOS and PMOS at 180 nm
+// and 45 nm, multipliers above 1, drain below source (the swap), strong
+// inversion (z > 30), deep subthreshold (z < -30), the softplus middle,
+// an overdrive that underflows to 0 and one that is subnormal, and NaN
+// and +-inf terminal voltages. PMOS cases mirror the NMOS voltages, so
+// both polarities reach every branch.
+std::vector<MosCase> mos_model_grid() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNan = std::nan("");
+  std::vector<MosCase> grid;
+  gcnrl::Rng rng(2026);
+  for (const char* node : {"180nm", "45nm"}) {
+    const circuit::Technology tech = circuit::make_technology(node);
+    for (const bool pmos : {false, true}) {
+      const sim::MosModel model = sim::mos_model(tech, pmos);
+      const double sgn = pmos ? -1.0 : 1.0;
+      const double vth = model.vth0;
+      std::vector<circuit::Mosfet> geoms(3);
+      geoms[0].w = tech.wmin;
+      geoms[0].l = tech.lmin;
+      geoms[1].w = rng.uniform(tech.wmin, tech.wmax);
+      geoms[1].l = rng.uniform(tech.lmin, tech.lmax);
+      geoms[1].m = 2 + static_cast<int>(rng.uniform_index(tech.mmax - 1));
+      geoms[2].w = tech.wmax;
+      geoms[2].l = tech.lmax;
+      geoms[2].m = tech.mmax;
+      for (auto& g : geoms) g.is_pmos = pmos;
+      for (const auto& g : geoms) {
+        std::vector<std::array<double, 3>> v = {
+            {vth + 2.0, 1.0, 0.0},      // z > 30
+            {vth + 2.0, 0.0, 1.0},      // z > 30, swapped
+            {vth - 2.0, 1.0, 0.0},      // z < -30
+            {vth + 0.1, 0.2, 0.9},      // softplus middle, swapped
+            {vth, 0.5, 0.0},            // z = 0
+            {vth + 0.05, 1e-3, 0.0},    // deep triode
+            {vth + 0.3, 0.4, 0.4},      // vds = 0
+            {vth - 40.0, 1.0, 0.0},     // overdrive underflows to 0
+            {vth - 32.4, 1.0, 0.0},     // subnormal overdrive
+            {vth - 33.4, 1.0, 0.0},     // smallest overdrives
+            {kInf, kInf, kInf},
+            {kNan, kNan, kNan},
+        };
+        for (int t = 0; t < 3; ++t) {
+          for (const double special : {kNan, kInf, -kInf}) {
+            std::array<double, 3> e = {vth + 0.3, 0.8, 0.1};
+            e[t] = special;
+            v.push_back(e);
+          }
+        }
+        for (int k = 0; k < 40; ++k) {
+          v.push_back({rng.uniform(-0.5, tech.vdd + 0.5),
+                       rng.uniform(-0.2, tech.vdd + 0.2),
+                       rng.uniform(-0.2, tech.vdd + 0.2)});
+        }
+        for (const auto& e : v) {
+          grid.push_back({model, g, sgn * e[0], sgn * e[1], sgn * e[2]});
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+// Every NaN is hashed as one canonical NaN. Which NaN operand an
+// instruction passes on, and so its sign bit, is the compiler's choice:
+// the grid's raw bytes hash differently in a Debug and a Release build of
+// the same model source. Every other double, +-0 and +-inf included, is
+// hashed by its bytes.
+std::uint64_t fnv1a_value(std::uint64_t h, double v) {
+  if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
+  return fnv1a(h, &v, sizeof v);
+}
+
+std::uint64_t fnv1a_op(std::uint64_t h, const sim::MosOp& op) {
+  return fnv1a_value(fnv1a_value(fnv1a_value(h, op.id), op.gm), op.gds);
+}
+
+}  // namespace
+
+// (id, gm, gds) over the model grid, hashed byte for byte, must equal the
+// digest captured before the model was evaluated in batches, both through
+// eval_mos and through eval_mos_batch at batch sizes around its chunk
+// width, where each device must also equal its own single call. The
+// digest depends on the platform's libm (exp, log1p, cbrt) and on the
+// build having no FMA contraction, like the transient digests above.
+TEST(Mosfet, ModelMatchesParentDigests) {
+  constexpr std::uint64_t kDigest = 0x86263df386a1ad6c;
+  const std::vector<MosCase> grid = mos_model_grid();
+  std::vector<sim::MosOp> single;
+  std::uint64_t h = kFnvBasis;
+  for (const MosCase& c : grid) {
+    single.push_back(sim::eval_mos(c.model, c.geom, c.vg, c.vd, c.vs));
+    h = fnv1a_op(h, single.back());
+  }
+  EXPECT_EQ(h, kDigest) << "eval_mos over " << grid.size()
+                        << " cases: 0x" << std::hex << h;
+
+  std::vector<sim::MosDevice> dev;
+  std::vector<sim::MosBias> bias;
+  for (const MosCase& c : grid) {
+    dev.push_back(sim::mos_device(c.model, c.geom));
+    bias.push_back({c.vg, c.vd, c.vs});
+  }
+  constexpr std::size_t kChunk = sim::kMosBatchChunk;
+  for (const std::size_t batch :
+       {std::size_t{1}, std::size_t{7}, kChunk - 1, kChunk, kChunk + 1,
+        2 * kChunk + 3}) {
+    std::vector<sim::MosOp> out(grid.size());
+    for (std::size_t k = 0; k < grid.size(); k += batch) {
+      const std::size_t n = std::min(batch, grid.size() - k);
+      sim::eval_mos_batch({dev.data() + k, n}, {bias.data() + k, n},
+                          {out.data() + k, n});
+    }
+    std::uint64_t hb = kFnvBasis;
+    for (std::size_t k = 0; k < grid.size(); ++k) {
+      hb = fnv1a_op(hb, out[k]);
+      EXPECT_EQ(fnv1a_op(kFnvBasis, out[k]), fnv1a_op(kFnvBasis, single[k]))
+          << "batch " << batch << ", case " << k;
+    }
+    EXPECT_EQ(hb, kDigest) << "batch " << batch << ": 0x" << std::hex << hb;
   }
 }
