@@ -152,12 +152,13 @@ BENCHMARK_CAPTURE(BM_SingleEval_PerAnalysis, ldo, "LDO")
     ->Unit(benchmark::kMillisecond);
 
 // Lockstep multi-seed DDPG throughput: 4 (env, agent) pairs sharing one
-// EvalService, stepped via rl::run_ddpg_lockstep. items_per_second counts
-// seed-steps (one simulation each, cache disabled); agents stay in their
-// warm-up phase so the number measures the sweep engine + simulator, not
-// network updates. On an N-core machine the multi-thread rows should pull
-// ahead of serial — this is the "seeds/sec" scaling number behind
-// api::run_tasks' lockstep DDPG groups.
+// EvalService, each agent behind an rl::DdpgOptimizer, stepped via
+// rl::run_optimizer_lockstep. items_per_second counts seed-steps (one
+// simulation each, cache disabled); agents stay in their warm-up phase so
+// the number measures the sweep engine + simulator, not network updates.
+// On an N-core machine the multi-thread rows should pull ahead of serial
+// — this is the "seeds/sec" scaling number behind api::run_tasks' DDPG
+// seeds.
 void BM_DdpgLockstep_TwoTia(benchmark::State& state) {
   env::EvalServiceConfig cfg;
   cfg.threads = static_cast<int>(state.range(0));
@@ -167,8 +168,8 @@ void BM_DdpgLockstep_TwoTia(benchmark::State& state) {
   constexpr int kSteps = 8;
   std::vector<std::unique_ptr<env::SizingEnv>> envs;
   std::vector<std::unique_ptr<rl::DdpgAgent>> agents;
-  std::vector<env::SizingEnv*> env_ptrs;
-  std::vector<rl::DdpgAgent*> agent_ptrs;
+  std::vector<std::unique_ptr<rl::DdpgOptimizer>> opts;
+  std::vector<rl::OptimizerPair> pairs;
   rl::DdpgConfig rl_cfg;
   rl_cfg.warmup = 1 << 30;  // never leave warm-up: no NN updates measured
   for (int s = 0; s < kSeeds; ++s) {
@@ -177,14 +178,14 @@ void BM_DdpgLockstep_TwoTia(benchmark::State& state) {
     agents.push_back(std::make_unique<rl::DdpgAgent>(
         envs.back()->state(), envs.back()->adjacency(), envs.back()->kinds(),
         rl_cfg, Rng(100 + s)));
-    env_ptrs.push_back(envs.back().get());
-    agent_ptrs.push_back(agents.back().get());
+    opts.push_back(std::make_unique<rl::DdpgOptimizer>(
+        *agents.back(), envs.back()->bench().space));
+    pairs.push_back(
+        rl::OptimizerPair{envs.back().get(), opts.back().get(), kSteps, -1});
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        rl::run_ddpg_lockstep(env_ptrs, agent_ptrs, kSteps)
-            .front()
-            .best_fom);
+        rl::run_optimizer_lockstep(pairs).front().best_fom);
   }
   state.SetItemsProcessed(state.iterations() * kSeeds * kSteps);
 }

@@ -1,7 +1,7 @@
 // End-to-end smoke + determinism gate for the budgeted task-planner path.
 //
 // Runs a tiny table1-style budgeted task list (ES -> sim-cost budgets ->
-// BO/MACE, plus GCN-RL through the DDPG lockstep engine) TWICE through
+// BO/MACE, plus GCN-RL, all through the one lockstep driver) TWICE through
 // api::run_tasks on one shared EvalService, with the task order permuted
 // between the passes — pass 2 even lists BO/MACE BEFORE their ES budget
 // source, exercising the planner's order-independent chain resolution.

@@ -17,6 +17,7 @@
 #include "opt/bayes_opt.hpp"
 #include "opt/cma_es.hpp"
 #include "opt/mace.hpp"
+#include "opt/random_search.hpp"
 
 namespace gcnrl::api {
 
@@ -76,8 +77,14 @@ MethodReg& method_reg() {
   static MethodReg reg;
   static const bool seeded = [] {
     reg.entries.push_back({"Human", MethodKind::Anchor, nullptr, nullptr, ""});
+    // 64 uniform designs per ask(), drawn as DesignSpace::random_actions
+    // draws them, in flat order.
     reg.entries.push_back(
-        {"Random", MethodKind::Random, nullptr, nullptr, ""});
+        {"Random", MethodKind::AskTell,
+         [](int dim, Rng rng) -> std::unique_ptr<opt::Optimizer> {
+           return std::make_unique<opt::RandomSearch>(dim, std::move(rng), 64);
+         },
+         nullptr, ""});
     reg.entries.push_back(
         {"ES", MethodKind::AskTell,
          [](int dim, Rng rng) -> std::unique_ptr<opt::Optimizer> {

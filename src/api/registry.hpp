@@ -10,13 +10,14 @@
 //   of cross-circuit dispatch).
 //
 //   MethodRegistry — name -> MethodInfo descriptor unifying the paper's
-//   methods behind one dispatch surface. A method is one of four kinds:
-//     Anchor   evaluate the circuit's human-expert sizing once ("Human");
-//     Random   uniform random search (rl::run_random);
-//     AskTell  a black-box optimizer driven through the lockstep ask/tell
-//              engine (ES / BO / MACE, or any user opt::Optimizer);
-//     Ddpg     the RL methods, driven through the DDPG lockstep engine
-//              (NG-RL / GCN-RL, differing only in their configure hook).
+//   methods behind one dispatch surface. Every method runs through the one
+//   lockstep driver, rl::run_optimizer_lockstep, as an opt::Optimizer; its
+//   kind says how api::run_tasks builds that optimizer for a seed:
+//     Anchor   proposes the circuit's human-expert sizing once ("Human");
+//     AskTell  make_optimizer(dim, rng): a black-box optimizer (Random /
+//              ES / BO / MACE, or any user opt::Optimizer);
+//     Ddpg     a DdpgAgent behind rl::DdpgOptimizer (NG-RL / GCN-RL,
+//              differing only in their configure hook).
 //   `budget_from` names the method whose per-seed simulated cost bounds
 //   this one (the paper's Table I rule: BO/MACE stop at the matching ES
 //   seed's cost); api::run_tasks resolves the chain automatically.
@@ -83,7 +84,7 @@ struct CircuitRegistrar {
 
 // --- methods --------------------------------------------------------------
 
-enum class MethodKind { Anchor, Random, AskTell, Ddpg };
+enum class MethodKind { Anchor, AskTell, Ddpg };
 
 struct MethodInfo {
   std::string name;

@@ -1,7 +1,7 @@
 // Implementation of the task planner (run_tasks): validation, one
 // calibrated EnvFactory per calibration tuple, dependency levels, and one
 // engine — run_group() — that executes a level's tasks on the shared
-// EvalService through the lockstep drivers.
+// EvalService through the one lockstep driver, rl::run_optimizer_lockstep.
 #include "api/task.hpp"
 
 #include <algorithm>
@@ -41,21 +41,29 @@ std::uint64_t seed_of(int s) {
 
 namespace {
 
-// An Anchor run: the human-expert sizing through the identical refine ->
-// simulate -> FoM pipeline, wrapped as a one-evaluation RunResult. sims is
-// charged as 1 unconditionally (the run's isolated simulated cost), never
-// from the live cache state, so anchor rows are warmth-independent like
-// every other budget number.
-rl::RunResult run_anchor(env::SizingEnv& env) {
-  const env::EvalResult r = env.evaluate_params(env.bench().human_expert);
-  rl::RunResult out;
-  out.best_fom = r.fom;
-  out.best_trace = {r.fom};
-  out.best_metrics = r.metrics;
-  out.evals = 1;
-  out.sims = 1;
-  return out;
-}
+// The Human method as an optimizer: the circuit's human-expert sizing,
+// flattened, is its one proposal; every later ask() is empty, which ends
+// the run. The sizing goes through the identical refine -> simulate -> FoM
+// pipeline as every other method's proposals.
+class HumanExpert final : public opt::Optimizer {
+ public:
+  explicit HumanExpert(std::vector<double> x) : x_(std::move(x)) {}
+
+  std::vector<std::vector<double>> ask() override {
+    if (asked_) return {};
+    asked_ = true;
+    return {x_};
+  }
+  void tell(const std::vector<std::vector<double>>&,
+            const std::vector<double>&) override {}
+  [[nodiscard]] int dim() const override {
+    return static_cast<int>(x_.size());
+  }
+
+ private:
+  std::vector<double> x_;
+  bool asked_ = false;
+};
 
 // The per-seed RNG seed of a task: the custom ladder when the spec sets
 // one, else the canonical seed_of(s).
@@ -96,25 +104,22 @@ struct TaskPlan {
   }
 };
 
-// Executes a stage of planned tasks on one shared service. All DDPG-kind
-// (task, seed) pairs join one rl::run_ddpg_lockstep group and all ask/tell
-// pairs one rl::run_optimizer_lockstep group (both drivers guarantee
-// per-pair results independent of the grouping); Random and Anchor tasks
-// run their own loops on the same service. Per-task result vectors are
-// bit-identical to running each task alone at any GCNRL_EVAL_THREADS.
+// Executes a stage of planned tasks on one shared service: one
+// (env, optimizer) pair per (task, seed), every pair in one
+// rl::run_optimizer_lockstep call. DDPG-kind seeds reach the driver
+// through rl::DdpgOptimizer, Human through HumanExpert. The driver
+// guarantees per-pair results independent of the grouping, so per-task
+// result vectors are bit-identical to running each task alone at any
+// GCNRL_EVAL_THREADS.
 void run_group(std::vector<TaskPlan>& plans,
                const std::shared_ptr<env::EvalService>& svc) {
-  // Owned envs/agents/optimizers for the merged lockstep groups. Slot
-  // bookkeeping maps merged-result indices back to (plan, seed).
-  std::vector<std::unique_ptr<env::SizingEnv>> rl_envs;
-  std::vector<std::unique_ptr<rl::DdpgAgent>> rl_agents;
-  std::vector<int> rl_steps;
-  std::vector<std::pair<std::size_t, int>> rl_slots;
-
-  std::vector<std::unique_ptr<env::SizingEnv>> bb_envs;
-  std::vector<std::unique_ptr<opt::Optimizer>> bb_opts;
-  std::vector<rl::OptimizerPair> bb_pairs;
-  std::vector<std::pair<std::size_t, int>> bb_slots;
+  // Owned per-pair state; pair i's result goes to (plan, seed) slots[i].
+  // agents[i] is null unless pair i is a DDPG seed.
+  std::vector<std::unique_ptr<env::SizingEnv>> envs;
+  std::vector<std::unique_ptr<rl::DdpgAgent>> agents;
+  std::vector<std::unique_ptr<opt::Optimizer>> opts;
+  std::vector<rl::OptimizerPair> pairs;
+  std::vector<std::pair<std::size_t, int>> slots;
 
   for (std::size_t p = 0; p < plans.size(); ++p) {
     TaskPlan& plan = plans[p];
@@ -123,78 +128,52 @@ void run_group(std::vector<TaskPlan>& plans,
     if (plan.keep != nullptr) {
       plan.keep->resize(static_cast<std::size_t>(t.seeds));
     }
-    switch (plan.mi->kind) {
-      case MethodKind::Ddpg:
-        for (int s = 0; s < t.seeds; ++s) {
-          rl_envs.push_back(plan.make_env(svc));
+    for (int s = 0; s < t.seeds; ++s) {
+      envs.push_back(plan.make_env(svc));
+      env::SizingEnv& env = *envs.back();
+      const circuit::DesignSpace& space = env.bench().space;
+      std::unique_ptr<rl::DdpgAgent> agent;
+      long max_sims = -1;
+      switch (plan.mi->kind) {
+        case MethodKind::Ddpg: {
           rl::DdpgConfig cfg = t.ddpg;
           if (plan.mi->configure) plan.mi->configure(cfg);
           cfg.warmup = t.warmup;
-          rl_agents.push_back(std::make_unique<rl::DdpgAgent>(
-              rl_envs.back()->state(), rl_envs.back()->adjacency(),
-              rl_envs.back()->kinds(), cfg, Rng(task_seed(t, s))));
-          if (plan.warm) plan.warm(s, *rl_agents.back());
-          rl_steps.push_back(t.steps);
-          rl_slots.emplace_back(p, s);
+          agent = std::make_unique<rl::DdpgAgent>(env.state(), env.adjacency(),
+                                                  env.kinds(), cfg,
+                                                  Rng(task_seed(t, s)));
+          if (plan.warm) plan.warm(s, *agent);
+          opts.push_back(std::make_unique<rl::DdpgOptimizer>(*agent, space));
+          break;
         }
-        break;
-      case MethodKind::AskTell:
-        for (int s = 0; s < t.seeds; ++s) {
-          bb_envs.push_back(plan.make_env(svc));
-          bb_opts.push_back(plan.mi->make_optimizer(
-              bb_envs.back()->flat_dim(), Rng(task_seed(t, s))));
-          const long max_sims =
-              plan.budgets.empty() ? -1
-                                   : plan.budgets[static_cast<std::size_t>(s)];
-          bb_pairs.push_back(rl::OptimizerPair{bb_envs.back().get(),
-                                               bb_opts.back().get(), t.steps,
-                                               max_sims > 0 ? max_sims : -1});
-          bb_slots.emplace_back(p, s);
-        }
-        break;
-      case MethodKind::Random:
-        for (int s = 0; s < t.seeds; ++s) {
-          auto env = plan.make_env(svc);
-          (*plan.out)[static_cast<std::size_t>(s)] =
-              rl::run_random(*env, t.steps, Rng(task_seed(t, s)));
-        }
-        break;
-      case MethodKind::Anchor:
-        for (int s = 0; s < t.seeds; ++s) {
-          auto env = plan.make_env(svc);
-          (*plan.out)[static_cast<std::size_t>(s)] = run_anchor(*env);
-        }
-        break;
+        case MethodKind::AskTell:
+          opts.push_back(
+              plan.mi->make_optimizer(env.flat_dim(), Rng(task_seed(t, s))));
+          if (!plan.budgets.empty() &&
+              plan.budgets[static_cast<std::size_t>(s)] > 0) {
+            max_sims = plan.budgets[static_cast<std::size_t>(s)];
+          }
+          break;
+        case MethodKind::Anchor:
+          opts.push_back(std::make_unique<HumanExpert>(space.flatten(
+              space.actions_from_params(env.bench().human_expert))));
+          break;
+      }
+      agents.push_back(std::move(agent));
+      pairs.push_back(
+          rl::OptimizerPair{&env, opts.back().get(), t.steps, max_sims});
+      slots.emplace_back(p, s);
     }
   }
 
-  if (!rl_envs.empty()) {
-    std::vector<env::SizingEnv*> env_ptrs;
-    std::vector<rl::DdpgAgent*> agent_ptrs;
-    env_ptrs.reserve(rl_envs.size());
-    agent_ptrs.reserve(rl_agents.size());
-    for (std::size_t i = 0; i < rl_envs.size(); ++i) {
-      env_ptrs.push_back(rl_envs[i].get());
-      agent_ptrs.push_back(rl_agents[i].get());
-    }
-    std::vector<rl::RunResult> merged =
-        rl::run_ddpg_lockstep(env_ptrs, agent_ptrs, rl_steps);
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-      const auto [p, s] = rl_slots[i];
-      (*plans[p].out)[static_cast<std::size_t>(s)] = std::move(merged[i]);
-      if (plans[p].keep != nullptr) {
-        // Agents are self-contained (the ctor copies state/adjacency), so
-        // retaining them outlives the group's envs safely.
-        (*plans[p].keep)[static_cast<std::size_t>(s)] =
-            std::move(rl_agents[i]);
-      }
-    }
-  }
-  if (!bb_pairs.empty()) {
-    std::vector<rl::RunResult> merged = rl::run_optimizer_lockstep(bb_pairs);
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-      const auto [p, s] = bb_slots[i];
-      (*plans[p].out)[static_cast<std::size_t>(s)] = std::move(merged[i]);
+  std::vector<rl::RunResult> results = rl::run_optimizer_lockstep(pairs);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto [p, s] = slots[i];
+    (*plans[p].out)[static_cast<std::size_t>(s)] = std::move(results[i]);
+    if (plans[p].keep != nullptr) {
+      // Agents are self-contained (the ctor copies state/adjacency), so
+      // retaining them outlives the group's envs safely.
+      (*plans[p].keep)[static_cast<std::size_t>(s)] = std::move(agents[i]);
     }
   }
 }
@@ -273,6 +252,13 @@ std::vector<TaskResult> run_tasks(const std::vector<TaskSpec>& tasks,
       throw std::invalid_argument("run_tasks: task \"" + t.method + "/" +
                                   t.circuit +
                                   "\": seed_stride needs seed_base");
+    }
+    // A base with stride 0 would give every seed the same RNG stream, and
+    // the task's "+/- 0" would look like a result.
+    if (t.seed_base && t.seed_stride == 0 && t.seeds > 1) {
+      throw std::invalid_argument(
+          "run_tasks: task \"" + t.method + "/" + t.circuit +
+          "\": seed_base with seeds > 1 needs a nonzero seed_stride");
     }
     if (t.label.empty()) {
       t.label = t.method + "/" + t.circuit + "@" + t.node;

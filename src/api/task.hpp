@@ -4,14 +4,15 @@
 //
 // run_tasks() groups an arbitrary mix of tasks (different circuits,
 // methods, technology nodes, seed counts, budgets) onto ONE shared
-// EvalService and drives them through the existing lockstep engines:
-// every DDPG-kind (task, seed) pair joins one rl::run_ddpg_lockstep group
-// and every ask/tell pair one rl::run_optimizer_lockstep group, so
-// GCNRL_EVAL_THREADS parallelizes across everything at once. Per-task
-// results are bit-identical to running each task alone, at any thread
-// count — the lockstep drivers guarantee per-pair results independent of
-// grouping, FoM values never depend on cache state, and all budgets are
-// simulated-cost counts (warmth-independent by construction).
+// EvalService and drives them through one lockstep driver: every
+// (task, seed) pair of a dependency level, whatever its method, joins one
+// rl::run_optimizer_lockstep call (the method kinds in registry.hpp say
+// how each pair's optimizer is built), so GCNRL_EVAL_THREADS parallelizes
+// across everything at once. Per-task results are bit-identical to
+// running each task alone, at any thread count — the driver guarantees
+// per-pair results independent of grouping, FoM values never depend on
+// cache state, and all budgets are simulated-cost counts
+// (warmth-independent by construction).
 //
 // Cross-task dependencies are resolved by the planner, which orders tasks
 // into dependency levels (sources before consumers, independent tasks
@@ -147,7 +148,9 @@ struct TaskSpec {
   std::string calib_group;
   // Per-seed RNG override: seed s uses seed_base + seed_stride * s when
   // seed_base is set (the paper specs' seed ladders); unset -> canonical
-  // seed_of(s). seed_stride without seed_base is rejected.
+  // seed_of(s). seed_stride without seed_base is rejected, and so is
+  // seed_base with seed_stride 0 when seeds > 1 (every seed would run the
+  // same stream).
   std::optional<std::uint64_t> seed_base;
   std::uint64_t seed_stride = 0;
   // Applied to every env of the task after calibration; not part of the
@@ -182,7 +185,8 @@ struct RunOptions {
 
 // Validates, calibrates, plans, and runs `tasks`; results come back in
 // task order. Throws std::invalid_argument on unknown circuit/method
-// names, non-positive steps/seeds, or a FoM weight for an unknown metric.
+// names, non-positive steps/seeds, a FoM weight for an unknown metric, or
+// an ill-formed seed ladder.
 std::vector<TaskResult> run_tasks(const std::vector<TaskSpec>& tasks,
                                   const RunOptions& opts = {});
 

@@ -136,7 +136,7 @@ class SizingEnv {
   [[nodiscard]] long cache_hits() const;
   [[nodiscard]] int eval_threads() const;
   // This env's attribution slot on its service (stamped on every job the
-  // env submits; lockstep drivers stamp it on merged batches too).
+  // env submits; the lockstep driver stamps it on merged batches too).
   [[nodiscard]] int eval_attr() const { return attr_; }
   EvalService& eval_service() { return *svc_; }
   // The owning handle, for wiring further envs onto the same service.

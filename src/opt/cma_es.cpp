@@ -107,7 +107,6 @@ void CmaEs::eigen_update() {
 
 std::vector<std::vector<double>> CmaEs::ask() {
   std::vector<std::vector<double>> xs(lambda_, std::vector<double>(n_));
-  last_y_.assign(lambda_, std::vector<double>(n_));
   for (int k = 0; k < lambda_; ++k) {
     // y = B D z,  x = m + sigma y, clipped into [-1, 1].
     std::vector<double> z(n_);
@@ -115,7 +114,6 @@ std::vector<std::vector<double>> CmaEs::ask() {
     for (int i = 0; i < n_; ++i) {
       double acc = 0.0;
       for (int j = 0; j < n_; ++j) acc += b_(i, j) * d_[j] * z[j];
-      last_y_[k][i] = acc;
       xs[k][i] = std::clamp(mean_[i] + sigma_ * acc, -1.0, 1.0);
     }
   }

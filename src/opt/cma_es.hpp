@@ -48,8 +48,6 @@ class CmaEs : public Optimizer {
   std::vector<double> d_;  // sqrt(eigenvalues)
   std::vector<double> pc_, ps_;
   long gen_ = 0;
-  // Stashed z-samples of the last ask() (needed for the update).
-  std::vector<std::vector<double>> last_y_;  // y = B D z
 };
 
 }  // namespace gcnrl::opt

@@ -1,5 +1,7 @@
 // Uniform random search over [-1, 1]^dim — the paper's "Random" baseline
-// (best of N uniform samples).
+// (best of N uniform samples). Each ask() draws `batch` points, each one
+// coordinate after the other: the draws DesignSpace::random_actions makes
+// for one design, in flat order.
 #pragma once
 
 #include "opt/optimizer.hpp"

@@ -35,7 +35,7 @@ class SimLedger {
 // Partition pair indices by EvalService in first-appearance order: pairs
 // on different services cannot share a batch, so each group runs its own
 // lockstep loop back-to-back. Per-pair results are independent of the
-// grouping (every agent/optimizer stream is strictly per-pair).
+// grouping (every optimizer stream is strictly per-pair).
 std::vector<std::vector<std::size_t>> group_by_service(
     std::span<env::SizingEnv* const> envs) {
   std::vector<env::EvalService*> services;
@@ -52,54 +52,6 @@ std::vector<std::vector<std::size_t>> group_by_service(
     }
   }
   return groups;
-}
-
-void run_ddpg_lockstep_group(std::span<env::SizingEnv* const> envs,
-                             std::span<DdpgAgent* const> agents,
-                             std::span<const int> steps,
-                             const std::vector<std::size_t>& members,
-                             std::vector<RunResult>& out) {
-  env::EvalService& svc = envs[members.front()]->eval_service();
-  int max_steps = 0;
-  for (const std::size_t i : members) max_steps = std::max(max_steps, steps[i]);
-  std::vector<la::Mat> actions(members.size());
-  std::vector<SimLedger> ledgers(members.size());
-  std::vector<env::EvalJob> jobs;
-  std::vector<std::size_t> active;  // slots into `members`, pair order
-  for (int step = 0; step < max_steps; ++step) {
-    // Collect phase, pair order: each still-active agent draws from its
-    // own RNG stream exactly as its serial run_ddpg iteration would; a
-    // pair whose budget is exhausted drops out of the batch entirely
-    // rather than padding it with wasted simulations.
-    jobs.clear();
-    active.clear();
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      const std::size_t i = members[k];
-      if (steps[i] <= step) continue;
-      actions[k] = agents[i]->act_explore();
-      jobs.push_back(env::EvalJob{&envs[i]->bench(), &actions[k],
-                                  envs[i]->eval_attr()});
-      active.push_back(k);
-    }
-    // One multi-circuit batch: one independent simulation per active pair.
-    const std::vector<env::EvalResult> results = svc.eval_batch_multi(jobs);
-    // Observe phase: replay pushes and network updates are strictly
-    // per-agent and the agents share no mutable state, so each active
-    // pair's observe() runs as one task on the service's workers, with the
-    // same result at any thread count.
-    svc.parallel_for(active.size(), [&](std::size_t j) {
-      const std::size_t k = active[j];
-      agents[members[k]]->observe(actions[k], results[j].fom);
-    });
-    // Ledger charges and commits, pair order.
-    for (std::size_t j = 0; j < active.size(); ++j) {
-      const std::size_t k = active[j];
-      const std::size_t i = members[k];
-      out[i].sims +=
-          ledgers[k].charge(envs[i]->bench().space, results[j].params);
-      out[i].commit(actions[k], results[j]);
-    }
-  }
 }
 
 }  // namespace
@@ -135,7 +87,7 @@ RunResult run_ddpg(env::SizingEnv& env, DdpgAgent& agent, int steps) {
   // DDPG is inherently sequential (each action depends on the previous
   // observation), so it steps one evaluation at a time; the EvalService
   // cache still short-circuits revisited designs. For parallelism across
-  // independent runs, see run_ddpg_lockstep below.
+  // independent runs, see run_optimizer_lockstep and DdpgOptimizer below.
   RunResult out;
   SimLedger ledger;
   for (int step = 0; step < steps; ++step) {
@@ -148,31 +100,18 @@ RunResult run_ddpg(env::SizingEnv& env, DdpgAgent& agent, int steps) {
   return out;
 }
 
-std::vector<RunResult> run_ddpg_lockstep(std::span<env::SizingEnv* const> envs,
-                                         std::span<DdpgAgent* const> agents,
-                                         std::span<const int> steps) {
-  if (envs.size() != agents.size() || envs.size() != steps.size()) {
-    throw std::invalid_argument(
-        "run_ddpg_lockstep: envs, agents and steps must pair up");
-  }
-  if (std::set<const DdpgAgent*>(agents.begin(), agents.end()).size() !=
-      agents.size()) {
-    throw std::invalid_argument(
-        "run_ddpg_lockstep: an agent appears in more than one pair");
-  }
-  std::vector<RunResult> out(envs.size());
-  if (envs.empty()) return out;
-  for (const auto& members : group_by_service(envs)) {
-    run_ddpg_lockstep_group(envs, agents, steps, members, out);
-  }
-  return out;
+std::vector<std::vector<double>> DdpgOptimizer::ask() {
+  actions_ = agent_.act_explore();
+  return {space_.flatten(actions_)};
 }
 
-std::vector<RunResult> run_ddpg_lockstep(std::span<env::SizingEnv* const> envs,
-                                         std::span<DdpgAgent* const> agents,
-                                         int steps) {
-  const std::vector<int> uniform(envs.size(), std::max(steps, 0));
-  return run_ddpg_lockstep(envs, agents, uniform);
+void DdpgOptimizer::tell(const std::vector<std::vector<double>>& xs,
+                         const std::vector<double>& ys) {
+  if (xs.size() != 1 || ys.size() != 1) {
+    throw std::invalid_argument(
+        "DdpgOptimizer::tell: expects the one result of the last ask()");
+  }
+  agent_.observe(actions_, ys.front());
 }
 
 namespace {
@@ -281,29 +220,6 @@ std::vector<RunResult> run_optimizer_lockstep(
   }
   for (const auto& members : group_by_service(envs)) {
     run_optimizer_lockstep_group(pairs, members, out);
-  }
-  return out;
-}
-
-RunResult run_random(env::SizingEnv& env, int steps, Rng rng) {
-  RunResult out;
-  SimLedger ledger;
-  // Fixed chunk size, deliberately independent of the backend thread
-  // count: cache-state evolution (and hence the trace) depends only on
-  // the chunking, so any GCNRL_EVAL_THREADS yields the identical result.
-  constexpr int kChunk = 64;
-  int done = 0;
-  while (done < steps) {
-    const int m = std::min(kChunk, steps - done);
-    std::vector<la::Mat> actions;
-    actions.reserve(m);
-    for (int i = 0; i < m; ++i) actions.push_back(env.random_actions(rng));
-    const auto results = env.step_batch(actions);
-    for (int i = 0; i < m; ++i) {
-      out.sims += ledger.charge(env.bench().space, results[i].params);
-      out.commit(actions[i], results[i]);
-    }
-    done += m;
   }
   return out;
 }

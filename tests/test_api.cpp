@@ -120,7 +120,7 @@ api::EnvFactory synthetic_factory(const api::RunOptions& opts) {
 // DDPG seeds wired by hand: one (env, agent) pair per RNG seed on one
 // service, each agent optionally warm-started from `copy_from`, optionally
 // with an FoM edit applied to each env, stepped through
-// rl::run_ddpg_lockstep.
+// rl::run_optimizer_lockstep behind rl::DdpgOptimizers.
 class LockstepRun {
  public:
   LockstepRun(const api::EnvFactory& factory,
@@ -140,13 +140,15 @@ class LockstepRun {
   }
 
   std::vector<rl::RunResult> run(int steps) {
-    std::vector<env::SizingEnv*> envs;
-    std::vector<rl::DdpgAgent*> agents;
+    std::vector<std::unique_ptr<rl::DdpgOptimizer>> opts;
+    std::vector<rl::OptimizerPair> pairs;
     for (std::size_t i = 0; i < envs_.size(); ++i) {
-      envs.push_back(envs_[i].get());
-      agents.push_back(agents_[i].get());
+      opts.push_back(std::make_unique<rl::DdpgOptimizer>(
+          *agents_[i], envs_[i]->bench().space));
+      pairs.push_back(
+          rl::OptimizerPair{envs_[i].get(), opts.back().get(), steps, -1});
     }
-    return rl::run_ddpg_lockstep(envs, agents, steps);
+    return rl::run_optimizer_lockstep(pairs);
   }
 
   [[nodiscard]] rl::DdpgAgent& agent(std::size_t i) { return *agents_[i]; }
@@ -242,7 +244,7 @@ TEST(MethodRegistry, UnknownMethodErrorListsRegisteredNames) {
 TEST(MethodRegistry, DuplicateAndInvalidRegistrationsThrow) {
   api::MethodInfo dup;
   dup.name = "ES";
-  dup.kind = api::MethodKind::Random;
+  dup.kind = api::MethodKind::Anchor;
   EXPECT_THROW(api::register_method(dup), std::invalid_argument);
 
   api::MethodInfo no_factory;
@@ -282,20 +284,20 @@ TEST(RunTasks, ValidatesSpecs) {
 // run_tasks caps any ask/tell method, budget source or not, at an
 // explicit simulated cost exactly as the serial ask/tell loop does.
 TEST(RunMethod, ExplicitSimBudgetCapsAskTell) {
-  const auto opts = tiny_options();
-  const api::EnvFactory factory = synthetic_factory(opts);
-  const auto env = factory.make(opts.service);
-  const auto es =
-      api::make_ask_tell("ES", env->flat_dim(), Rng(api::seed_of(0)));
-  const auto capped = gcnrl::testing::run_optimizer(*env, *es, 10, 4);
-  EXPECT_LE(capped.sims, 4);
-  const auto via_tasks = [&] {
-    api::TaskSpec t = synthetic_task("ES", 10, 1);
+  for (const std::string method : {"ES", "Random"}) {
+    const auto opts = tiny_options();
+    const api::EnvFactory factory = synthetic_factory(opts);
+    const auto env = factory.make(opts.service);
+    const auto optimizer =
+        api::make_ask_tell(method, env->flat_dim(), Rng(api::seed_of(0)));
+    const auto capped = gcnrl::testing::run_optimizer(*env, *optimizer, 10, 4);
+    EXPECT_LE(capped.sims, 4) << method;
+    api::TaskSpec t = synthetic_task(method, 10, 1);
     t.sim_budget = 4;
-    return api::run_tasks({t}, tiny_options());
-  }();
-  EXPECT_EQ(via_tasks[0].runs[0].best_trace, capped.best_trace);
-  EXPECT_EQ(via_tasks[0].runs[0].sims, capped.sims);
+    const auto via_tasks = api::run_tasks({t}, tiny_options());
+    EXPECT_EQ(via_tasks[0].runs[0].best_trace, capped.best_trace) << method;
+    EXPECT_EQ(via_tasks[0].runs[0].sims, capped.sims) << method;
+  }
 }
 
 // A custom circuit registered by user code runs end to end through the
@@ -657,6 +659,13 @@ TEST(RunTasks, ChainValidationErrors) {
   stride.seed_stride = 31;
   EXPECT_THROW(api::run_tasks({stride}, tiny_options()),
                std::invalid_argument);
+  // So is seed_base with stride 0 over several seeds: every seed would
+  // run the same RNG stream. One seed on a base alone stays legal.
+  api::TaskSpec flat = synthetic_task("ES", 4, 2);
+  flat.seed_base = 500;
+  EXPECT_THROW(api::run_tasks({flat}, tiny_options()), std::invalid_argument);
+  flat.seeds = 1;
+  EXPECT_NO_THROW(api::run_tasks({flat}, tiny_options()));
 
   // Duplicate save names would make checkpoint resolution order-dependent.
   api::TaskSpec s1 = synthetic_task("GCN-RL", 4, 1);
@@ -702,7 +711,7 @@ TEST(RunTasks, SeedAndIndexModeOverrides) {
     EXPECT_EQ(a[0].runs[s].best_trace, b[0].runs[s].best_trace);
   }
   // A different base diverges (the ladder is real, not decorative).
-  api::TaskSpec shifted = synthetic_task("GCN-RL", 5, 2);
+  api::TaskSpec shifted = laddered;
   shifted.seed_base = api::seed_of(0) + 1;
   const auto c = api::run_tasks({shifted}, tiny_options());
   EXPECT_NE(a[0].runs[0].best_trace, c[0].runs[0].best_trace);
@@ -858,9 +867,10 @@ TEST(SpecParser, ReportsPositions) {
 
 // Every shipped spec, the paper's included, parses and resolves: methods
 // and nodes exist, each circuit is registered (or registers from its
-// .gcir file), each FoM weight names one of the circuit's metrics, and
-// each pretrain_from names a label in the same file. No test runs the
-// paper-scale specs, so this is what keeps them from going stale.
+// .gcir file), each FoM weight names one of the circuit's metrics, each
+// pretrain_from names a label in the same file, and no seed ladder has a
+// base without a stride over several seeds. No test runs the paper-scale
+// specs, so this is what keeps them from going stale.
 TEST(SpecParser, ShippedSpecsParse) {
   std::vector<std::filesystem::path> files;
   for (const char* dir : {"/specs", "/specs/paper"}) {
@@ -880,6 +890,8 @@ TEST(SpecParser, ShippedSpecsParse) {
     for (const api::TaskSpec& t : f.tasks) labels.insert(t.label);
     for (const api::TaskSpec& t : f.tasks) {
       EXPECT_TRUE(api::method_registered(t.method)) << path << ": " << t.method;
+      EXPECT_FALSE(t.seed_base && t.seed_stride == 0 && t.seeds > 1)
+          << path << ": " << t.label;
       EXPECT_NO_THROW((void)circuit::make_technology(t.node))
           << path << ": " << t.node;
       std::string name = t.circuit;

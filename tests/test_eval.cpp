@@ -25,6 +25,7 @@
 #include "opt/bayes_opt.hpp"
 #include "opt/cma_es.hpp"
 #include "opt/mace.hpp"
+#include "opt/random_search.hpp"
 #include "rl/ddpg.hpp"
 #include "rl/run_loop.hpp"
 #include "serial_reference.hpp"
@@ -255,20 +256,41 @@ TEST(EvalService, StepMatchesStepBatch) {
 
 // --- serial vs parallel equivalence (the determinism guarantee) ----------
 
+// Random is RandomSearch(dim, rng, 64) in the lockstep driver: it
+// evaluates the designs DesignSpace::random_actions draws from the same
+// stream, in the same order, and its trace, counters and cache use are the
+// same at 1 and 4 eval threads.
 TEST(EvalService, RunRandomTraceIsThreadCountInvariant) {
-  env::SizingEnv e1(make_synthetic(), env::IndexMode::OneHot, config(1, 256));
-  env::SizingEnv e4(make_synthetic(), env::IndexMode::OneHot, config(4, 256));
-  const auto r1 = gcnrl::rl::run_random(e1, 200, Rng(77));
-  const auto r4 = gcnrl::rl::run_random(e4, 200, Rng(77));
-  ASSERT_EQ(r1.best_trace.size(), r4.best_trace.size());
-  for (std::size_t i = 0; i < r1.best_trace.size(); ++i) {
-    EXPECT_DOUBLE_EQ(r1.best_trace[i], r4.best_trace[i]) << i;
+  env::SizingEnv ref(make_synthetic(), env::IndexMode::OneHot, config(1, 0));
+  Rng draws(77);
+  std::vector<la::Mat> designs;
+  for (int i = 0; i < 200; ++i) designs.push_back(ref.random_actions(draws));
+  std::vector<double> want_trace;
+  double best = -1e300;
+  for (const env::EvalResult& r : ref.step_batch(designs)) {
+    best = std::max(best, r.fom);
+    want_trace.push_back(best);
   }
-  EXPECT_DOUBLE_EQ(r1.best_fom, r4.best_fom);
+
+  std::vector<gcnrl::rl::RunResult> runs;
+  std::vector<long> env_sims;
+  for (const int threads : {1, 4}) {
+    env::SizingEnv e(make_synthetic(), env::IndexMode::OneHot,
+                     config(threads, 256));
+    gcnrl::opt::RandomSearch random(e.flat_dim(), Rng(77), 64);
+    const gcnrl::rl::OptimizerPair pair{&e, &random, 200, -1};
+    runs.push_back(gcnrl::rl::run_optimizer_lockstep({&pair, 1}).front());
+    env_sims.push_back(e.num_sims());
+    EXPECT_EQ(runs.back().best_trace, want_trace) << "threads " << threads;
+  }
+  const gcnrl::rl::RunResult& r1 = runs[0];
+  const gcnrl::rl::RunResult& r4 = runs[1];
+  EXPECT_EQ(r1.best_fom, r4.best_fom);
+  EXPECT_EQ(r1.evals, 200);
   EXPECT_EQ(r1.evals, r4.evals);
   EXPECT_EQ(r1.sims, r4.sims);
   EXPECT_EQ(r1.cache_hits, r4.cache_hits);
-  EXPECT_EQ(e1.num_sims(), e4.num_sims());
+  EXPECT_EQ(env_sims[0], env_sims[1]);
   EXPECT_EQ(r1.best_metrics, r4.best_metrics);
 }
 
@@ -582,6 +604,38 @@ gcnrl::rl::DdpgConfig tiny_ddpg_config() {
   return cfg;
 }
 
+// DDPG seeds stepped through the one lockstep driver: pair i runs
+// agents[i] on envs[i] for steps[i] episodes behind a DdpgOptimizer.
+std::vector<gcnrl::rl::RunResult> ddpg_lockstep_runs(
+    const std::vector<std::unique_ptr<env::SizingEnv>>& envs,
+    const std::vector<std::unique_ptr<gcnrl::rl::DdpgAgent>>& agents,
+    const std::vector<int>& steps) {
+  std::vector<std::unique_ptr<gcnrl::rl::DdpgOptimizer>> opts;
+  std::vector<gcnrl::rl::OptimizerPair> pairs;
+  for (std::size_t i = 0; i < envs.size(); ++i) {
+    opts.push_back(std::make_unique<gcnrl::rl::DdpgOptimizer>(
+        *agents[i], envs[i]->bench().space));
+    pairs.push_back(gcnrl::rl::OptimizerPair{envs[i].get(), opts.back().get(),
+                                             steps[i], -1});
+  }
+  return gcnrl::rl::run_optimizer_lockstep(pairs);
+}
+
+// Expects the agent's deterministic action mu(S) to equal `want`, bit for
+// bit: its observe() calls ran on the pool, and the trained weights must
+// still be the serial agent's.
+void expect_policy_eq(gcnrl::rl::DdpgAgent& agent, const la::Mat& want,
+                      std::uint64_t seed) {
+  const la::Mat policy = agent.act();
+  ASSERT_TRUE(policy.same_shape(want));
+  for (int r = 0; r < policy.rows(); ++r) {
+    for (int c = 0; c < policy.cols(); ++c) {
+      EXPECT_EQ(policy(r, c), want(r, c))
+          << "seed " << seed << " mu(S)(" << r << "," << c << ")";
+    }
+  }
+}
+
 void expect_lockstep_matches_serial(int threads) {
   const std::vector<std::uint64_t> seeds = {1000, 8919, 16838};
   const int steps = 30;
@@ -593,19 +647,15 @@ void expect_lockstep_matches_serial(int threads) {
       std::make_shared<env::EvalService>(config(threads, 256));
   std::vector<std::unique_ptr<env::SizingEnv>> envs;
   std::vector<std::unique_ptr<gcnrl::rl::DdpgAgent>> agents;
-  std::vector<env::SizingEnv*> env_ptrs;
-  std::vector<gcnrl::rl::DdpgAgent*> agent_ptrs;
   for (const std::uint64_t seed : seeds) {
     envs.push_back(std::make_unique<env::SizingEnv>(
         make_synthetic(), env::IndexMode::OneHot, svc));
     agents.push_back(std::make_unique<gcnrl::rl::DdpgAgent>(
         envs.back()->state(), envs.back()->adjacency(), envs.back()->kinds(),
         cfg, Rng(seed)));
-    env_ptrs.push_back(envs.back().get());
-    agent_ptrs.push_back(agents.back().get());
   }
-  const auto lockstep =
-      gcnrl::rl::run_ddpg_lockstep(env_ptrs, agent_ptrs, steps);
+  const auto lockstep = ddpg_lockstep_runs(
+      envs, agents, std::vector<int>(seeds.size(), steps));
 
   ASSERT_EQ(lockstep.size(), serial.size());
   for (std::size_t s = 0; s < seeds.size(); ++s) {
@@ -618,24 +668,18 @@ void expect_lockstep_matches_serial(int threads) {
     EXPECT_EQ(lockstep[s].best_fom, serial[s].best_fom);
     EXPECT_EQ(lockstep[s].best_metrics, serial[s].best_metrics);
     EXPECT_EQ(lockstep[s].evals, serial[s].evals);
-    // The observe() tasks ran on the pool: every agent must end with the
-    // serial agent's weights, bit for bit.
+    EXPECT_EQ(lockstep[s].sims, serial[s].sims);
+    // The last round's observe() ran too.
     EXPECT_EQ(agents[s]->episode(), steps) << "seed " << seeds[s];
-    const la::Mat policy = agents[s]->act();
-    ASSERT_TRUE(policy.same_shape(serial_policies[s]));
-    for (int r = 0; r < policy.rows(); ++r) {
-      for (int c = 0; c < policy.cols(); ++c) {
-        EXPECT_EQ(policy(r, c), serial_policies[s](r, c))
-            << "seed " << seeds[s] << " mu(S)(" << r << "," << c << ")";
-      }
-    }
+    expect_policy_eq(*agents[s], serial_policies[s], seeds[s]);
   }
 }
 
 }  // namespace
 
-// The acceptance criterion of the lockstep engine: per-seed best_trace
-// vectors bit-identical to serial run_ddpg, at 1 and at 4 eval threads.
+// DDPG seeds in the lockstep driver: per-seed best_trace vectors and
+// trained weights bit-identical to serial run_ddpg, at 1 and at 4 eval
+// threads.
 TEST(Lockstep, DdpgTracesMatchSerialAtOneThread) {
   expect_lockstep_matches_serial(1);
 }
@@ -659,19 +703,15 @@ TEST(Lockstep, GroupsPairsByServiceInsteadOfThrowing) {
   const auto svc_b = std::make_shared<env::EvalService>(config(1, 256));
   std::vector<std::unique_ptr<env::SizingEnv>> envs;
   std::vector<std::unique_ptr<gcnrl::rl::DdpgAgent>> agents;
-  std::vector<env::SizingEnv*> env_ptrs;
-  std::vector<gcnrl::rl::DdpgAgent*> agent_ptrs;
   for (std::size_t s = 0; s < seeds.size(); ++s) {
     envs.push_back(std::make_unique<env::SizingEnv>(
         make_synthetic(), env::IndexMode::OneHot, s == 1 ? svc_b : svc_a));
     agents.push_back(std::make_unique<gcnrl::rl::DdpgAgent>(
         envs.back()->state(), envs.back()->adjacency(), envs.back()->kinds(),
         cfg, Rng(seeds[s])));
-    env_ptrs.push_back(envs.back().get());
-    agent_ptrs.push_back(agents.back().get());
   }
-  const auto lockstep =
-      gcnrl::rl::run_ddpg_lockstep(env_ptrs, agent_ptrs, steps);
+  const auto lockstep = ddpg_lockstep_runs(
+      envs, agents, std::vector<int>(seeds.size(), steps));
   ASSERT_EQ(lockstep.size(), serial.size());
   for (std::size_t s = 0; s < seeds.size(); ++s) {
     ASSERT_EQ(lockstep[s].best_trace.size(), serial[s].best_trace.size());
@@ -682,42 +722,6 @@ TEST(Lockstep, GroupsPairsByServiceInsteadOfThrowing) {
     EXPECT_EQ(lockstep[s].best_fom, serial[s].best_fom);
     EXPECT_EQ(lockstep[s].sims, serial[s].sims);
   }
-}
-
-TEST(Lockstep, RejectsMismatchedSpans) {
-  env::SizingEnv a(make_synthetic(), env::IndexMode::OneHot, config(1, 16));
-  const gcnrl::rl::DdpgConfig cfg = tiny_ddpg_config();
-  gcnrl::rl::DdpgAgent aa(a.state(), a.adjacency(), a.kinds(), cfg, Rng(1));
-  gcnrl::rl::DdpgAgent ab(a.state(), a.adjacency(), a.kinds(), cfg, Rng(2));
-  std::vector<env::SizingEnv*> envs = {&a};
-  std::vector<gcnrl::rl::DdpgAgent*> two = {&aa, &ab};
-  EXPECT_THROW(gcnrl::rl::run_ddpg_lockstep(envs, two, 1),
-               std::invalid_argument);
-  std::vector<gcnrl::rl::DdpgAgent*> one = {&aa};
-  const std::vector<int> bad_steps = {1, 2};
-  EXPECT_THROW(gcnrl::rl::run_ddpg_lockstep(envs, one, bad_steps),
-               std::invalid_argument);
-}
-
-// The pairs' observe() calls run concurrently, so one agent in two pairs
-// would race with itself; the call is rejected before any step runs.
-TEST(Lockstep, RejectsDuplicateAgents) {
-  const auto svc = std::make_shared<env::EvalService>(config(4, 16));
-  env::SizingEnv a(make_synthetic(), env::IndexMode::OneHot, svc);
-  env::SizingEnv b(make_synthetic(), env::IndexMode::OneHot, svc);
-  env::SizingEnv c(make_synthetic(), env::IndexMode::OneHot, svc);
-  const gcnrl::rl::DdpgConfig cfg = tiny_ddpg_config();
-  gcnrl::rl::DdpgAgent shared(a.state(), a.adjacency(), a.kinds(), cfg,
-                              Rng(1));
-  gcnrl::rl::DdpgAgent other(a.state(), a.adjacency(), a.kinds(), cfg, Rng(2));
-  std::vector<env::SizingEnv*> envs = {&a, &b, &c};
-  std::vector<gcnrl::rl::DdpgAgent*> agents = {&shared, &other, &shared};
-  const long requested = svc->requested();
-  EXPECT_THROW(gcnrl::rl::run_ddpg_lockstep(envs, agents, 3),
-               std::invalid_argument);
-  EXPECT_EQ(shared.episode(), 0);
-  EXPECT_EQ(other.episode(), 0);
-  EXPECT_EQ(svc->requested(), requested);
 }
 
 // Heterogeneous step budgets: a finished pair must drop out of later
@@ -731,18 +735,14 @@ TEST(Lockstep, ExhaustedPairsDropOutOfBatches) {
   const auto svc = std::make_shared<env::EvalService>(config(2, 0));
   std::vector<std::unique_ptr<env::SizingEnv>> envs;
   std::vector<std::unique_ptr<gcnrl::rl::DdpgAgent>> agents;
-  std::vector<env::SizingEnv*> env_ptrs;
-  std::vector<gcnrl::rl::DdpgAgent*> agent_ptrs;
   for (const std::uint64_t seed : seeds) {
     envs.push_back(std::make_unique<env::SizingEnv>(
         make_synthetic(), env::IndexMode::OneHot, svc));
     agents.push_back(std::make_unique<gcnrl::rl::DdpgAgent>(
         envs.back()->state(), envs.back()->adjacency(), envs.back()->kinds(),
         cfg, Rng(seed)));
-    env_ptrs.push_back(envs.back().get());
-    agent_ptrs.push_back(agents.back().get());
   }
-  const auto runs = gcnrl::rl::run_ddpg_lockstep(env_ptrs, agent_ptrs, steps);
+  const auto runs = ddpg_lockstep_runs(envs, agents, steps);
   ASSERT_EQ(runs.size(), steps.size());
   for (std::size_t s = 0; s < steps.size(); ++s) {
     EXPECT_EQ(runs[s].evals, steps[s]);
@@ -886,6 +886,10 @@ std::unique_ptr<gcnrl::opt::Optimizer> make_bayes_opt(int dim, Rng rng) {
 }
 std::unique_ptr<gcnrl::opt::Optimizer> make_mace(int dim, Rng rng) {
   return std::make_unique<gcnrl::opt::Mace>(dim, rng);
+}
+// Built as the Random method builds it.
+std::unique_ptr<gcnrl::opt::Optimizer> make_random(int dim, Rng rng) {
+  return std::make_unique<gcnrl::opt::RandomSearch>(dim, rng, 64);
 }
 
 // Serial reference for the lockstep black-box driver: one run_optimizer
@@ -1109,6 +1113,64 @@ TEST(OptimizerLockstep, TellErrorSurfacesAfterTheRoundLowestPairWins) {
     }
     // Two rounds of four evaluations; the failed round submitted no batch.
     EXPECT_EQ(svc->requested(), 8) << "threads " << threads;
+  }
+}
+
+// Every method in one call on one service: a DDPG seed behind a
+// DdpgOptimizer, CMA-ES, Random, and a one-proposal optimizer (the shape
+// of Human). Each pair equals its own serial reference at 1 and at 4 eval
+// threads, the DDPG seed's trained weights included.
+TEST(Lockstep, MixedMethodsMatchTheirSerialReferences) {
+  const int steps = 30;
+  const gcnrl::rl::DdpgConfig cfg = tiny_ddpg_config();
+  std::vector<la::Mat> ddpg_policy;
+  const gcnrl::rl::RunResult ddpg_want =
+      serial_ddpg_runs(cfg, {1000}, steps, &ddpg_policy).front();
+  const gcnrl::rl::RunResult es_want =
+      serial_runs(make_cmaes, {8919}, steps, -1).results.front();
+  const gcnrl::rl::RunResult random_want =
+      serial_runs(make_random, {16838}, steps, -1).results.front();
+  env::SizingEnv one_env(make_synthetic(), env::IndexMode::OneHot,
+                         config(1, 256));
+  const std::vector<double> x(static_cast<std::size_t>(one_env.flat_dim()),
+                              0.3);
+  ScriptedOptimizer one_ref(one_env.flat_dim(), {x});
+  const gcnrl::rl::RunResult one_want =
+      gcnrl::testing::run_optimizer(one_env, one_ref, steps);
+  ASSERT_EQ(one_want.evals, 1);
+  const std::vector<const gcnrl::rl::RunResult*> want = {
+      &ddpg_want, &es_want, &random_want, &one_want};
+
+  for (const int threads : {1, 4}) {
+    const auto svc = std::make_shared<env::EvalService>(config(threads, 256));
+    std::vector<std::unique_ptr<env::SizingEnv>> envs;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      envs.push_back(std::make_unique<env::SizingEnv>(
+          make_synthetic(), env::IndexMode::OneHot, svc));
+    }
+    gcnrl::rl::DdpgAgent agent(envs[0]->state(), envs[0]->adjacency(),
+                               envs[0]->kinds(), cfg, Rng(1000));
+    gcnrl::rl::DdpgOptimizer ddpg(agent, envs[0]->bench().space);
+    const auto es = make_cmaes(envs[1]->flat_dim(), Rng(8919));
+    const auto random = make_random(envs[2]->flat_dim(), Rng(16838));
+    ScriptedOptimizer one(envs[3]->flat_dim(), {x});
+    const std::vector<gcnrl::rl::OptimizerPair> pairs = {
+        {envs[0].get(), &ddpg, steps, -1},
+        {envs[1].get(), es.get(), steps, -1},
+        {envs[2].get(), random.get(), steps, -1},
+        {envs[3].get(), &one, steps, -1}};
+    const auto runs = gcnrl::rl::run_optimizer_lockstep(pairs);
+    ASSERT_EQ(runs.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(runs[i].best_trace, want[i]->best_trace)
+          << "threads " << threads << " pair " << i;
+      EXPECT_EQ(runs[i].best_fom, want[i]->best_fom) << "pair " << i;
+      EXPECT_EQ(runs[i].best_metrics, want[i]->best_metrics) << "pair " << i;
+      EXPECT_EQ(runs[i].evals, want[i]->evals) << "pair " << i;
+      EXPECT_EQ(runs[i].sims, want[i]->sims) << "pair " << i;
+    }
+    EXPECT_EQ(agent.episode(), steps);
+    expect_policy_eq(agent, ddpg_policy.front(), 1000);
   }
 }
 

@@ -249,7 +249,6 @@ void print_list() {
     const char* kind = "";
     switch (mi.kind) {
       case api::MethodKind::Anchor: kind = "anchor"; break;
-      case api::MethodKind::Random: kind = "random"; break;
       case api::MethodKind::AskTell: kind = "ask/tell"; break;
       case api::MethodKind::Ddpg: kind = "ddpg"; break;
     }
