@@ -11,7 +11,7 @@
 #include <memory>
 #include <vector>
 
-#include "circuits/benchmark_circuits.hpp"
+#include "api/registry.hpp"
 #include "common/rng.hpp"
 #include "env/eval_service.hpp"
 #include "env/sizing_env.hpp"
@@ -32,7 +32,7 @@ void BM_EvalBatch_TwoTia(benchmark::State& state) {
   env::EvalServiceConfig cfg;
   cfg.threads = static_cast<int>(state.range(0));
   cfg.cache_capacity = 0;
-  env::SizingEnv env(circuits::make_two_tia(kTech), env::IndexMode::OneHot,
+  env::SizingEnv env(api::build_circuit("Two-TIA", kTech), env::IndexMode::OneHot,
                      cfg);
   constexpr int kBatch = 32;
   Rng rng(7);
@@ -54,7 +54,7 @@ void BM_EvalBatch_TwoTia_CacheHit(benchmark::State& state) {
   env::EvalServiceConfig cfg;
   cfg.threads = 1;
   cfg.cache_capacity = 1024;
-  env::SizingEnv env(circuits::make_two_tia(kTech), env::IndexMode::OneHot,
+  env::SizingEnv env(api::build_circuit("Two-TIA", kTech), env::IndexMode::OneHot,
                      cfg);
   constexpr int kBatch = 32;
   Rng rng(7);
@@ -80,7 +80,7 @@ void BM_SingleEval_PerAnalysis(benchmark::State& state, const char* name) {
   env::EvalServiceConfig cfg;
   cfg.threads = 1;
   cfg.cache_capacity = 0;  // cache disabled: every step simulates
-  env::SizingEnv env(circuits::make_benchmark(name, kTech),
+  env::SizingEnv env(api::build_circuit(name, kTech),
                      env::IndexMode::OneHot, cfg);
   Rng rng(11);
   const la::Mat base = env.random_actions(rng);
@@ -174,7 +174,7 @@ void BM_DdpgLockstep_TwoTia(benchmark::State& state) {
   rl_cfg.warmup = 1 << 30;  // never leave warm-up: no NN updates measured
   for (int s = 0; s < kSeeds; ++s) {
     envs.push_back(std::make_unique<env::SizingEnv>(
-        circuits::make_two_tia(kTech), env::IndexMode::OneHot, svc));
+        api::build_circuit("Two-TIA", kTech), env::IndexMode::OneHot, svc));
     agents.push_back(std::make_unique<rl::DdpgAgent>(
         envs.back()->state(), envs.back()->adjacency(), envs.back()->kinds(),
         rl_cfg, Rng(100 + s)));
@@ -212,7 +212,7 @@ void BM_BayesOptLockstep_TwoTia(benchmark::State& state) {
     std::vector<rl::OptimizerPair> pairs;
     for (int s = 0; s < kSeeds; ++s) {
       envs.push_back(std::make_unique<env::SizingEnv>(
-          circuits::make_two_tia(kTech), env::IndexMode::OneHot, svc));
+          api::build_circuit("Two-TIA", kTech), env::IndexMode::OneHot, svc));
       opts.push_back(std::make_unique<opt::BayesOpt>(envs.back()->flat_dim(),
                                                      Rng(200 + s)));
       pairs.push_back(rl::OptimizerPair{envs.back().get(), opts.back().get(),

@@ -7,7 +7,7 @@
 // with the default DdpgConfig: hidden width 32, 7 GCN layers, batch 32.
 #include <benchmark/benchmark.h>
 
-#include "circuits/benchmark_circuits.hpp"
+#include "api/registry.hpp"
 #include "env/sizing_env.hpp"
 #include "rl/ddpg.hpp"
 
@@ -74,7 +74,7 @@ struct Circuit {
 
 Circuit circuit_inputs(const char* name) {
   env::SizingEnv env(
-      circuits::make_benchmark(name, circuit::make_technology("180nm")));
+      api::build_circuit(name, circuit::make_technology("180nm")));
   return {env.state(), env.adjacency(), env.kinds()};
 }
 

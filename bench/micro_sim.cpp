@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "circuits/benchmark_circuits.hpp"
+#include "api/registry.hpp"
 #include "common/rng.hpp"
 #include "env/sizing_env.hpp"
 #include "sim/perf.hpp"
@@ -18,7 +18,7 @@ namespace {
 const auto kTech = circuit::make_technology("180nm");
 
 void BM_DcSolve_TwoTia(benchmark::State& state) {
-  auto bc = circuits::make_two_tia(kTech);
+  auto bc = api::build_circuit("Two-TIA", kTech);
   circuit::Netlist nl = bc.netlist;
   bc.space.apply(nl, bc.human_expert);
   for (auto _ : state) {
@@ -32,7 +32,7 @@ BENCHMARK(BM_DcSolve_TwoTia);
 // the best case of the warm path (an optimizer revisiting a neighborhood)
 // and the direct comparison row for BM_DcSolve_TwoTia above.
 void BM_DcSolveWarm_TwoTia(benchmark::State& state) {
-  auto bc = circuits::make_two_tia(kTech);
+  auto bc = api::build_circuit("Two-TIA", kTech);
   circuit::Netlist nl = bc.netlist;
   bc.space.apply(nl, bc.human_expert);
   sim::Simulator cold(nl, kTech);
@@ -46,7 +46,7 @@ void BM_DcSolveWarm_TwoTia(benchmark::State& state) {
 BENCHMARK(BM_DcSolveWarm_TwoTia);
 
 void BM_AcSweep_TwoTia_97pts(benchmark::State& state) {
-  auto bc = circuits::make_two_tia(kTech);
+  auto bc = api::build_circuit("Two-TIA", kTech);
   circuit::Netlist nl = bc.netlist;
   bc.space.apply(nl, bc.human_expert);
   sim::Simulator s(nl, kTech);
@@ -61,7 +61,7 @@ BENCHMARK(BM_AcSweep_TwoTia_97pts);
 // Dense AC matrix assembly alone: G/C stamps built once per sweep, then
 // Y = G + j*omega*C per frequency point.
 void BM_AcAssemblySplit_TwoTia_97pts(benchmark::State& state) {
-  auto bc = circuits::make_two_tia(kTech);
+  auto bc = api::build_circuit("Two-TIA", kTech);
   circuit::Netlist nl = bc.netlist;
   bc.space.apply(nl, bc.human_expert);
   sim::Simulator s(nl, kTech);
@@ -112,7 +112,7 @@ void report_phase_counters(benchmark::State& state, const sim::MnaStructure& st,
 }
 
 void BM_DcEngine(benchmark::State& state, const char* name) {
-  auto bc = circuits::make_benchmark(name, kTech);
+  auto bc = api::build_circuit(name, kTech);
   circuit::Netlist nl = bc.netlist;
   bc.space.apply(nl, bc.human_expert);
   sim::sim_perf_reset();
@@ -130,7 +130,7 @@ BENCHMARK_CAPTURE(BM_DcEngine, three_tia_dense, "Three-TIA");
 BENCHMARK_CAPTURE(BM_DcEngine, ldo_dense, "LDO");
 
 void BM_AcEngine(benchmark::State& state, const char* name, bool sparse) {
-  auto bc = circuits::make_benchmark(name, kTech);
+  auto bc = api::build_circuit(name, kTech);
   circuit::Netlist nl = bc.netlist;
   bc.space.apply(nl, bc.human_expert);
   SparseEngineGuard guard(sparse);
@@ -154,7 +154,7 @@ BENCHMARK_CAPTURE(BM_AcEngine, ldo_sparse, "LDO", true);
 BENCHMARK_CAPTURE(BM_AcEngine, ldo_dense, "LDO", false);
 
 void BM_FullEval(benchmark::State& state, const char* name) {
-  auto bc = circuits::make_benchmark(name, kTech);
+  auto bc = api::build_circuit(name, kTech);
   circuit::Netlist nl = bc.netlist;
   bc.space.apply(nl, bc.human_expert);
   for (auto _ : state) {
@@ -172,7 +172,7 @@ BENCHMARK_CAPTURE(BM_FullEval, ldo, "LDO");
 // device (single) or one eval_mos_batch call per entry (batch). The
 // per_device counter is wall time over devices evaluated.
 void BM_MosEval(benchmark::State& state, bool batch) {
-  const auto bc = circuits::make_ldo(kTech);
+  const auto bc = api::build_circuit("LDO", kTech);
   circuit::Netlist nl = bc.netlist;
   bc.space.apply(nl, bc.human_expert);
   sim::Simulator s(nl, kTech);
@@ -213,7 +213,7 @@ BENCHMARK_CAPTURE(BM_MosEval, single, false);
 BENCHMARK_CAPTURE(BM_MosEval, batch, true);
 
 void BM_EnvStepRandom_TwoTia(benchmark::State& state) {
-  env::SizingEnv env(circuits::make_two_tia(kTech));
+  env::SizingEnv env(api::build_circuit("Two-TIA", kTech));
   Rng rng(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(env.step(env.random_actions(rng)).fom);

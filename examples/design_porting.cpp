@@ -7,7 +7,7 @@
 //        (defaults: 65nm, 400, 150)
 #include <cstdio>
 
-#include "circuits/benchmark_circuits.hpp"
+#include "api/registry.hpp"
 #include "rl/run_loop.hpp"
 
 using namespace gcnrl;
@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
 
   // --- pretrain on 180 nm ------------------------------------------------
   const auto tech_src = circuit::make_technology("180nm");
-  env::SizingEnv env_src(circuits::make_two_tia(tech_src));
+  env::SizingEnv env_src(api::build_circuit("Two-TIA", tech_src));
   env_src.calibrate(200, rng);
   rl::DdpgConfig cfg;
   cfg.warmup = 100;
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
 
   // --- target node environment -------------------------------------------
   const auto tech_dst = circuit::make_technology(target_node);
-  env::SizingEnv env_dst(circuits::make_two_tia(tech_dst));
+  env::SizingEnv env_dst(api::build_circuit("Two-TIA", tech_dst));
   env_dst.calibrate(200, rng);
 
   // Short budget for both agents: W/3 warm-up + exploration.
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   short_cfg.warmup = transfer_steps / 3;
 
   // Fresh agent (no transfer).
-  env::SizingEnv env_fresh(circuits::make_two_tia(tech_dst));
+  env::SizingEnv env_fresh(api::build_circuit("Two-TIA", tech_dst));
   env_fresh.bench().fom = env_dst.bench().fom;  // share calibration
   rl::DdpgAgent fresh(env_fresh.state(), env_fresh.adjacency(),
                       env_fresh.kinds(), short_cfg, Rng(1001));

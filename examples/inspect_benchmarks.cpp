@@ -9,8 +9,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "api/registry.hpp"
 #include "circuit/graph.hpp"
-#include "circuits/benchmark_circuits.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 
@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
   const int samples = argc > 2 ? std::atoi(argv[2]) : 30;
   const auto tech = circuit::make_technology(node);
 
-  for (const auto& name : circuits::benchmark_names()) {
-    auto bc = circuits::make_benchmark(name, tech);
+  for (const auto& name : api::circuit_names()) {
+    auto bc = api::build_circuit(name, tech);
     env::SizingEnv env(std::move(bc));
 
     std::printf("=== %s @ %s ===\n", name.c_str(), node.c_str());

@@ -9,7 +9,7 @@
 //        (defaults: 400, 150)
 #include <cstdio>
 
-#include "circuits/benchmark_circuits.hpp"
+#include "api/registry.hpp"
 #include "rl/run_loop.hpp"
 
 using namespace gcnrl;
@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
   Rng rng(3);
 
   // Scalar component index keeps state_dim identical across topologies.
-  env::SizingEnv two(circuits::make_two_tia(tech), env::IndexMode::Scalar);
-  env::SizingEnv three(circuits::make_three_tia(tech),
+  env::SizingEnv two(api::build_circuit("Two-TIA", tech), env::IndexMode::Scalar);
+  env::SizingEnv three(api::build_circuit("Three-TIA", tech),
                        env::IndexMode::Scalar);
   two.calibrate(200, rng);
   three.calibrate(200, rng);
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   cfg.warmup = transfer_steps / 3;
   rl::DdpgAgent fresh(three.state(), three.adjacency(), three.kinds(), cfg,
                       Rng(12));
-  env::SizingEnv three_b(circuits::make_three_tia(tech),
+  env::SizingEnv three_b(api::build_circuit("Three-TIA", tech),
                          env::IndexMode::Scalar);
   three_b.bench().fom = three.bench().fom;
   const double no_transfer =
@@ -65,9 +65,9 @@ int main(int argc, char** argv) {
   const double gcn = transfer_run(true, two, three, pretrain_steps,
                                   transfer_steps);
   // Rebuild source env for the NG run so both see fresh replay histories.
-  env::SizingEnv two_b(circuits::make_two_tia(tech), env::IndexMode::Scalar);
+  env::SizingEnv two_b(api::build_circuit("Two-TIA", tech), env::IndexMode::Scalar);
   two_b.bench().fom = two.bench().fom;
-  env::SizingEnv three_c(circuits::make_three_tia(tech),
+  env::SizingEnv three_c(api::build_circuit("Three-TIA", tech),
                          env::IndexMode::Scalar);
   three_c.bench().fom = three.bench().fom;
   const double ng = transfer_run(false, two_b, three_c, pretrain_steps,

@@ -46,7 +46,8 @@ namespace gcnrl::api {
 // What an artifact was trained on. `circuit` and `node` are the registry /
 // technology names; `mode` is the state-index mode of the training env;
 // `source` is the circuit's content fingerprint (api::circuit_source_tag —
-// "gcir:<hash>" for file-registered circuits, "" for C++ builders).
+// "gcir:<hash>" for shipped and file-registered circuits, "" for C++
+// builders).
 struct CheckpointStamp {
   std::string circuit;
   std::string node;

@@ -1,6 +1,4 @@
 // Registry TU: the single home of cross-circuit and cross-method dispatch.
-// The legacy string-switch circuits::make_benchmark lives on as a shim over
-// the CircuitRegistry at the bottom of this file.
 #include "api/registry.hpp"
 
 #include <cstdint>
@@ -9,8 +7,10 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
+#include "api/shipped_circuits.hpp"
 #include "circuit/analyze.hpp"
 #include "circuit/gcir.hpp"
 #include "env/circuit_compile.hpp"
@@ -30,11 +30,41 @@ namespace {
 struct CircuitEntry {
   std::string name;
   CircuitBuilder builder;
-  // "gcir:<fnv1a64 of file text>" for file-registered circuits, "" for
-  // C++ builders. Doubles as the idempotency key for
+  // "gcir:<fnv1a64 of file text>" for shipped and file-registered
+  // circuits, "" for C++ builders. Doubles as the idempotency key for
   // register_circuit_file and as the checkpoint-stamp source field.
   std::string source_tag;
 };
+
+std::string fnv1a_source_tag(std::string_view text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "gcir:%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+// A shipped circuit's builder: the embedded text is parsed on the first
+// build, once per process, and every build compiles the shared
+// description at the requested node.
+CircuitBuilder shipped_builder(const detail::ShippedCircuit& shipped) {
+  struct Parsed {
+    std::once_flag once;
+    std::shared_ptr<const circuit::CircuitDescription> desc;
+  };
+  auto parsed = std::make_shared<Parsed>();
+  return [file = &shipped, parsed](const circuit::Technology& tech) {
+    std::call_once(parsed->once, [&] {
+      parsed->desc = std::make_shared<const circuit::CircuitDescription>(
+          circuit::parse_gcir(std::string(file->text), file->path));
+    });
+    return env::compile_circuit(*parsed->desc, tech);
+  };
+}
 
 struct CircuitReg {
   std::mutex mu;
@@ -55,13 +85,13 @@ CircuitReg& circuit_reg() {
   // Built-ins seed the registry on first touch, so they are present no
   // matter which registration or lookup happens first (static-init-order
   // safe, and a static library cannot rely on self-registering TUs that
-  // nothing references).
+  // nothing references). Seeding parses nothing.
   static CircuitReg reg;
   static const bool seeded = [] {
-    reg.entries.push_back({"Two-TIA", circuits::make_two_tia, ""});
-    reg.entries.push_back({"Two-Volt", circuits::make_two_volt, ""});
-    reg.entries.push_back({"Three-TIA", circuits::make_three_tia, ""});
-    reg.entries.push_back({"LDO", circuits::make_ldo, ""});
+    for (const detail::ShippedCircuit& c : detail::shipped_circuits()) {
+      reg.entries.push_back(
+          {c.name, shipped_builder(c), fnv1a_source_tag(c.text)});
+    }
     return true;
   }();
   (void)seeded;
@@ -167,22 +197,6 @@ env::BenchmarkCircuit build_circuit(const std::string& name,
   // and may themselves consult the registry.
   return find_circuit_builder(name)(tech);
 }
-
-namespace {
-
-std::string fnv1a_source_tag(const std::string& text) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "gcir:%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
-
-}  // namespace
 
 std::string register_circuit_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -327,17 +341,3 @@ std::unique_ptr<opt::Optimizer> make_ask_tell(const std::string& method,
 }
 
 }  // namespace gcnrl::api
-
-namespace gcnrl::circuits {
-
-// Legacy entry points, relocated here from two_volt.cpp: thin shims over
-// the CircuitRegistry so old call sites keep working while user-registered
-// circuits become reachable through them too.
-env::BenchmarkCircuit make_benchmark(const std::string& name,
-                                     const circuit::Technology& tech) {
-  return api::build_circuit(name, tech);
-}
-
-std::vector<std::string> benchmark_names() { return api::circuit_names(); }
-
-}  // namespace gcnrl::circuits

@@ -1,13 +1,14 @@
 // The two extension points of the public task API (api.hpp):
 //
 //   CircuitRegistry — name -> BenchmarkCircuit builder. The four paper
-//   benchmarks (Fig. 6) are pre-registered in the paper's table order;
-//   user code adds its own circuits with register_circuit() (or a static
-//   CircuitRegistrar) and they become addressable from TaskSpec::circuit
-//   and gcnrl_cli spec files without touching the library.
-//   circuits::make_benchmark()/benchmark_names() are thin shims over this
-//   registry (defined in registry.cpp — the registry TU is the one home
-//   of cross-circuit dispatch).
+//   benchmarks (Fig. 6) are pre-registered in the paper's table order:
+//   they are the .gcir files under specs/circuits/, compiled into the
+//   library as text (shipped_circuits.hpp), each parsed on its first
+//   build and compiled per technology node like any registered file.
+//   User code adds its own circuits with register_circuit_file(),
+//   register_circuit() (or a static CircuitRegistrar), and they become
+//   addressable from TaskSpec::circuit and gcnrl_cli spec files without
+//   touching the library.
 //
 //   MethodRegistry — name -> MethodInfo descriptor unifying the paper's
 //   methods behind one dispatch surface. Every method runs through the one
@@ -34,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "circuits/benchmark_circuits.hpp"
+#include "env/sizing_env.hpp"
 #include "opt/optimizer.hpp"
 #include "rl/ddpg.hpp"
 
@@ -55,15 +56,17 @@ void register_circuit(const std::string& name, CircuitBuilder builder);
 // compile diagnostics surface here, eagerly, via a compile probe at the
 // 180nm node. Returns the declared name. Re-registering byte-identical
 // file content under the same name is an idempotent no-op (so specs and
-// --circuit flags may both name the same file); a name collision with
+// --circuit flags may both name the same file, and registering a shipped
+// file under specs/circuits/ changes nothing); a name collision with
 // *different* content — or with a C++-registered builder — throws
-// std::invalid_argument. File-registered circuits carry a content
-// fingerprint ("gcir:<fnv1a64>") retrievable via circuit_source_tag(),
-// which checkpoint stamps embed to catch cross-source transfer mixups.
+// std::invalid_argument. Shipped and file-registered circuits carry a
+// content fingerprint ("gcir:<fnv1a64>") retrievable via
+// circuit_source_tag(), which checkpoint stamps embed to catch
+// cross-source transfer mixups.
 std::string register_circuit_file(const std::string& path);
-// Source fingerprint of a registered circuit: "gcir:<hash>" for
-// file-registered circuits, "" for C++ builders. Unknown names throw the
-// build_circuit diagnostic.
+// Source fingerprint of a registered circuit: "gcir:<hash>" of the .gcir
+// text for shipped and file-registered circuits, "" for C++ builders.
+// Unknown names throw the build_circuit diagnostic.
 std::string circuit_source_tag(const std::string& name);
 // Builds the named circuit at the given node. Unknown names throw
 // std::invalid_argument listing every registered name.

@@ -91,7 +91,8 @@ const std::vector<CheckInfo>& check_catalog() {
       {"plan.extract-requires", Severity::Error,
        "extraction misses a required analysis or argument"},
       {"plan.ac-sweep", Severity::Error,
-       "degenerate AC sweep (needs 0 < fmin < fmax and npoints >= 2)"},
+       "degenerate AC sweep (needs 0 < fmin < fmax and npoints >= 2, or "
+       "fmin == fmax and npoints == 1)"},
       {"plan.noise-freqs", Severity::Error,
        "noise analysis needs positive, finite frequencies"},
       {"plan.tran-range", Severity::Error,
@@ -279,7 +280,12 @@ class Analyzer {
     for (const ExtractDesc& e : d_.extracts) {
       mark_probe(e.probe_p);
       mark_probe(e.probe_n);
+      mark_probe(e.over_p);
+      mark_probe(e.over_n);
     }
+    for_each_input([&](const ExprRef& r) {
+      if (r.kind == ExprRef::Kind::NodeVoltage) mark_probe(r.b);
+    });
     for (const BenchDesc& b : d_.benches) {
       if (b.noise) {
         mark_probe(b.noise->out_p);
@@ -593,6 +599,32 @@ class Analyzer {
     return -1;
   }
 
+  // Every run-time input of the plan's expressions: extraction formulas
+  // and scales, guards, and the values of added sources.
+  template <typename F>
+  void for_each_input(F&& f) const {
+    const auto visit = [&](const std::optional<Expr>& e) {
+      if (!e) return;
+      for (const ExprRef& r : e->refs()) f(r);
+    };
+    for (const ExtractDesc& e : d_.extracts) {
+      visit(e.value);
+      visit(e.scale);
+    }
+    for (const GuardDesc& g : d_.guards) {
+      for (const ExprRef& r : g.value.refs()) f(r);
+      visit(g.min);
+      visit(g.max);
+    }
+    for (const BenchDesc& b : d_.benches) {
+      for (const BenchAddDesc& a : b.adds) {
+        if (!a.source) continue;
+        for (const ExprRef& r : a.source->dc.refs()) f(r);
+        for (const ExprRef& r : a.source->ac.refs()) f(r);
+      }
+    }
+  }
+
   void check_plan() {
     if (d_.metrics.empty()) {
       add("plan.no-metrics",
@@ -604,7 +636,7 @@ class Analyzer {
     for (const MetricDesc& m : d_.metrics) {
       bool produced = false;
       for (const ExtractDesc& e : d_.extracts) {
-        produced = produced || e.metric == m.name;
+        produced = produced || (e.metric == m.name && !e.temp);
       }
       if (!produced) {
         add("plan.metric-unproduced",
@@ -615,12 +647,16 @@ class Analyzer {
     for (const ExtractDesc& e : d_.extracts) {
       bool consumed = false;
       for (const MetricDesc& m : d_.metrics) {
-        consumed = consumed || m.name == e.metric;
+        consumed = consumed || (m.name == e.metric && !e.temp);
       }
+      for_each_input([&](const ExprRef& r) {
+        consumed = consumed ||
+                   (r.kind == ExprRef::Kind::Metric && r.a == e.metric);
+      });
       if (!consumed) {
         add("plan.metric-unconsumed",
             "extract produces \"" + e.metric +
-                "\" which no FoM metric consumes",
+                "\" which no FoM metric or expression consumes",
             e.line, e.col);
       }
     }
@@ -633,7 +669,8 @@ class Analyzer {
     }
 
     // A bench nobody extracts from burns simulations for nothing — unless
-    // a later bench warm-starts its DC solve from it.
+    // a later bench warm-starts its DC solve from it or an expression reads
+    // its operating point.
     for (const BenchDesc& b : d_.benches) {
       bool used = false;
       for (const ExtractDesc& e : d_.extracts) {
@@ -642,6 +679,11 @@ class Analyzer {
       for (const BenchDesc& other : d_.benches) {
         used = used || (&other != &b && other.warm_from == b.name);
       }
+      for_each_input([&](const ExprRef& r) {
+        used = used || ((r.kind == ExprRef::Kind::NodeVoltage ||
+                         r.kind == ExprRef::Kind::SourceCurrent) &&
+                        r.a == b.name);
+      });
       if (!used) {
         add("plan.bench-unused",
             "bench \"" + b.name +
@@ -667,13 +709,16 @@ class Analyzer {
     if (b.ac) {
       const double fmin = b.ac->fmin.eval(tech_);
       const double fmax = b.ac->fmax.eval(tech_);
+      // One point is a spot analysis at fmin == fmax.
+      const bool spot = b.ac->npoints == 1 && fmax == fmin;
       if (!std::isfinite(fmin) || !std::isfinite(fmax) || fmin <= 0.0 ||
-          fmax <= fmin || b.ac->npoints < 2) {
+          (!spot && (fmax <= fmin || b.ac->npoints < 2))) {
         add("plan.ac-sweep",
             "bench \"" + b.name + "\": degenerate ac sweep [" +
                 fmt_num(fmin) + ", " + fmt_num(fmax) + "] x " +
                 std::to_string(b.ac->npoints) +
-                " (needs 0 < fmin < fmax and npoints >= 2)",
+                " (needs 0 < fmin < fmax and npoints >= 2, or a spot "
+                "point: fmin == fmax and npoints == 1)",
             b.ac->line, b.ac->col);
       }
     }
@@ -721,6 +766,13 @@ class Analyzer {
     }
   }
 
+  static bool bench_adds_net(const BenchDesc& b, const std::string& name) {
+    for (const BenchAddDesc& a : b.adds) {
+      if (!name.empty() && a.net == name) return true;
+    }
+    return false;
+  }
+
   void check_plan_net(const std::string& name, const char* what, int line,
                       int col) {
     if (name.empty()) return;
@@ -732,6 +784,7 @@ class Analyzer {
   }
 
   void check_extract(const ExtractDesc& e) {
+    if (e.fn == ExtractFn::Expression) return;  // the parser resolved it
     const int bi = bench_index(e.bench);
     if (bi < 0) {
       add("plan.unknown-ref",
@@ -741,14 +794,14 @@ class Analyzer {
       return;
     }
     const BenchDesc& bench = d_.benches[static_cast<std::size_t>(bi)];
-    check_plan_net(e.probe_p, "extract probe=", e.line, e.col);
-    check_plan_net(e.probe_n, "extract probe=", e.line, e.col);
+    for (const std::string* net :
+         {&e.probe_p, &e.probe_n, &e.over_p, &e.over_n}) {
+      if (!bench_adds_net(bench, *net)) {
+        check_plan_net(*net, "extract probe=", e.line, e.col);
+      }
+    }
 
-    const bool needs_ac =
-        e.fn == ExtractFn::DcGain || e.fn == ExtractFn::Bandwidth3db ||
-        e.fn == ExtractFn::PeakingDb || e.fn == ExtractFn::Gbw ||
-        e.fn == ExtractFn::InputNoise;
-    if (needs_ac && (e.probe_p.empty() || !bench.ac)) {
+    if (reads_ac(e.fn) && (e.probe_p.empty() || !bench.ac)) {
       add("plan.extract-requires",
           "extract \"" + e.metric + "\" needs probe= and an ac sweep on "
           "bench \"" + bench.name + "\"",

@@ -4,14 +4,13 @@
 // A CircuitDescription is pure data — names, expressions, declaration
 // order — with no dependency on the simulator or a concrete technology
 // node. Numeric fields are circuit::Expr so one description ports across
-// nodes ("l=2*lmin") exactly like the hand-written C++ builders; nothing
-// is evaluated until env::compile_circuit() binds the description to a
-// Technology and produces a runnable env::BenchmarkCircuit.
+// nodes ("l=2*lmin"); nothing is evaluated until env::compile_circuit()
+// binds the description to a Technology and produces a runnable
+// env::BenchmarkCircuit.
 //
 // Declaration order is load-bearing and preserved everywhere:
 //   * nets in declaration order define the node-id assignment (and so the
-//     MNA unknown ordering — the .gcir ports of the paper circuits declare
-//     nets in the builders' node() call order to stay bit-identical);
+//     MNA unknown ordering);
 //   * elements (sources and devices interleaved, in file order) define
 //     both element insertion order and the design-component/graph-vertex
 //     order;
@@ -106,13 +105,32 @@ struct ExpertDesc {
 
 // --- declarative measurement plan (unresolved) -----------------------------
 
-// Per-bench source override: the .gcir twin of the builders'
-// `nl.find_vsource("VDD")->ac = 1.0` testbench edits.
+// Per-bench source override (`set BENCH SOURCE ...`), e.g. AC on the
+// supply for a PSRR bench.
 struct SourceSetDesc {
   std::string source;
   std::optional<Expr> dc;
   std::optional<Expr> ac;
   std::optional<std::vector<std::pair<Expr, Expr>>> pwl;
+  int line = 0;
+  int col = 1;
+};
+
+// Per-bench gate move (`set BENCH MOS g=NET`): the MOSFET's gate is
+// rewired to NET in the bench's copy only, e.g. to break a loop.
+struct GateMoveDesc {
+  std::string mos;
+  std::string net;
+  int line = 0;
+  int col = 1;
+};
+
+// A net or a source appended to one bench's copy of the sized netlist
+// (`add BENCH net NET` / `add BENCH vsource|isource ...`). Additions keep
+// file order, which fixes the bench's node and MNA unknown order.
+struct BenchAddDesc {
+  std::string net;                   // an added net, or
+  std::optional<SourceDesc> source;  // an added source
   int line = 0;
   int col = 1;
 };
@@ -138,12 +156,15 @@ struct TranDesc {
   int col = 1;
 };
 
-// One testbench: a (possibly source-overridden) copy of the sized netlist
-// driven through one Simulator. Analyses run in the fixed order power ->
-// ac -> noise -> tran (each at most once per bench).
+// One testbench: a (possibly edited) copy of the sized netlist driven
+// through one Simulator. Analyses run in the fixed order ac -> noise ->
+// tran (each at most once per bench); the DC operating point is solved
+// when an analysis or a run-time input first needs it.
 struct BenchDesc {
   std::string name;
   std::vector<SourceSetDesc> sets;
+  std::vector<GateMoveDesc> gates;
+  std::vector<BenchAddDesc> adds;
   std::optional<AcSweepDesc> ac;
   std::optional<NoiseDesc> noise;
   std::optional<TranDesc> tran;
@@ -161,7 +182,16 @@ enum class ExtractFn {
   Gbw,           // meas::gbw (= dc_gain * bandwidth_3db)
   InputNoise,    // input-referred spot noise at `at_freq`
   SettlingTime,  // settling after `edge` within [win_t0, win_t1], tol `tol`
+  PhaseMargin,   // meas::phase_margin_deg of probe * scale [/ over]
+  Expression,    // `value`, a run-time expression (no bench)
 };
+
+// Extractions that measure the probe's curve of the bench's AC sweep.
+constexpr bool reads_ac(ExtractFn fn) {
+  return fn == ExtractFn::DcGain || fn == ExtractFn::Bandwidth3db ||
+         fn == ExtractFn::PeakingDb || fn == ExtractFn::Gbw ||
+         fn == ExtractFn::InputNoise || fn == ExtractFn::PhaseMargin;
+}
 
 struct ExtractDesc {
   std::string metric;  // MetricMap key this extraction produces
@@ -171,6 +201,22 @@ struct ExtractDesc {
   std::string probe_n;  // non-empty = differential probe
   std::optional<Expr> at_freq;                  // InputNoise
   std::optional<Expr> win_t0, win_t1, edge, tol;  // SettlingTime
+  std::optional<Expr> scale;                      // PhaseMargin
+  std::string over_p, over_n;                     // PhaseMargin divisor
+  std::optional<Expr> value;                      // Expression
+  bool temp = false;  // plan-internal: later expressions read it, the
+                      // metric map does not carry it
+  int line = 0;
+  int col = 1;
+};
+
+// A design check between benches: when `value` leaves [min, max] the
+// evaluation throws sim::SimError(message), so no later bench runs.
+struct GuardDesc {
+  Expr value;
+  std::optional<Expr> min, max;
+  std::string message;
+  int after = 0;  // the number of benches declared before the guard
   int line = 0;
   int col = 1;
 };
@@ -202,6 +248,7 @@ struct CircuitDescription {
   std::vector<ExpertDesc> expert;
   std::vector<BenchDesc> benches;
   std::vector<ExtractDesc> extracts;
+  std::vector<GuardDesc> guards;
   std::vector<LintAllowDesc> lint_allows;
 };
 

@@ -1,5 +1,7 @@
 #include "circuit/expr.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <iterator>
 #include <stdexcept>
@@ -13,8 +15,8 @@ struct Symbol {
   double (*get)(const Technology&);
 };
 
-// One row per Technology field a builder could reasonably read. Adding a
-// row here makes the symbol available to every .gcir file.
+// One row per Technology field a description could reasonably read.
+// Adding a row here makes the symbol available to every .gcir file.
 constexpr Symbol kSymbols[] = {
     {"vdd", [](const Technology& t) { return t.vdd; }},
     {"lmin", [](const Technology& t) { return t.lmin; }},
@@ -60,8 +62,8 @@ const std::vector<std::string>& expr_symbols() {
 
 class ExprParser {
  public:
-  explicit ExprParser(const std::string& text, Expr& out)
-      : text_(text), out_(out) {}
+  ExprParser(const std::string& text, bool runtime, Expr& out)
+      : text_(text), runtime_(runtime), out_(out) {}
 
   void run() {
     expr();
@@ -78,12 +80,21 @@ class ExprParser {
     return pos_ < text_.size() ? text_[pos_] : '\0';
   }
 
+  void expect(char c) {
+    if (peek() != c) fail(std::string("expected '") + c + "'");
+    ++pos_;
+  }
+
+  void push(Expr::Op op, double num = 0.0, int index = 0) {
+    out_.ops_.push_back({op, num, index});
+  }
+
   void expr() {
     term();
     while (peek() == '+' || peek() == '-') {
       const char op = text_[pos_++];
       term();
-      out_.ops_.push_back({op == '+' ? Expr::Op::Add : Expr::Op::Sub, 0, 0});
+      push(op == '+' ? Expr::Op::Add : Expr::Op::Sub);
     }
   }
 
@@ -92,7 +103,7 @@ class ExprParser {
     while (peek() == '*' || peek() == '/') {
       const char op = text_[pos_++];
       factor();
-      out_.ops_.push_back({op == '*' ? Expr::Op::Mul : Expr::Op::Div, 0, 0});
+      push(op == '*' ? Expr::Op::Mul : Expr::Op::Div);
     }
   }
 
@@ -101,21 +112,27 @@ class ExprParser {
     if (c == '-') {
       ++pos_;
       factor();
-      out_.ops_.push_back({Expr::Op::Neg, 0, 0});
+      push(Expr::Op::Neg);
     } else if (c == '(') {
       ++pos_;
       expr();
-      if (peek() != ')') fail("expected ')'");
-      ++pos_;
+      expect(')');
     } else if ((c >= '0' && c <= '9') || c == '.') {
       number();
-    } else if ((c >= 'a' && c <= 'z') || c == '_') {
-      symbol();
+    } else if (is_name_start(c)) {
+      identifier();
     } else if (c == '\0') {
       fail("unexpected end of expression");
     } else {
       fail(std::string("unexpected character '") + c + "'");
     }
+  }
+
+  static bool is_name_start(char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+  }
+  static bool is_name_char(char c) {
+    return is_name_start(c) || (c >= '0' && c <= '9');
   }
 
   void number() {
@@ -155,45 +172,112 @@ class ExprParser {
     if (end == nullptr || *end != '\0') {
       fail("malformed number \"" + mantissa + "\"");
     }
-    out_.ops_.push_back({Expr::Op::Num, v, 0});
+    push(Expr::Op::Num, v);
   }
 
-  void symbol() {
+  // A symbol, a function call, or (run-time expressions only) an input.
+  void identifier() {
+    const std::size_t start = pos_;
     std::string name;
-    while ((peek() >= 'a' && peek() <= 'z') ||
-           (peek() >= '0' && peek() <= '9') || peek() == '_') {
-      name += text_[pos_++];
+    while (is_name_char(peek())) name += text_[pos_++];
+    if (peek() == '(') {
+      call(name, start);
+      return;
     }
     for (int i = 0; i < kNumSymbols; ++i) {
       if (name == kSymbols[i].name) {
-        out_.ops_.push_back({Expr::Op::Sym, 0, i});
+        push(Expr::Op::Sym, 0.0, i);
         return;
       }
     }
-    std::string known;
-    for (const std::string& s : expr_symbols()) {
-      known += known.empty() ? s : ", " + s;
+    if (!runtime_) {
+      pos_ = start;
+      std::string known;
+      for (const std::string& s : expr_symbols()) {
+        known += known.empty() ? s : ", " + s;
+      }
+      fail("unknown symbol \"" + name + "\" (known: " + known + ")");
     }
-    fail("unknown symbol \"" + name + "\" (known: " + known + ")");
+    if (peek() == '.') {
+      ++pos_;
+      std::string param;
+      while (is_name_char(peek())) param += text_[pos_++];
+      if (param != "w" && param != "l" && param != "m" && param != "r" &&
+          param != "c") {
+        fail("\"" + name + "." + param +
+             "\": the parameter must be one of w, l, m, r, c");
+      }
+      add_ref({ExprRef::Kind::Param, name, param, static_cast<int>(start)});
+      return;
+    }
+    add_ref({ExprRef::Kind::Metric, name, "", static_cast<int>(start)});
+  }
+
+  void call(const std::string& fn, std::size_t start) {
+    ++pos_;  // '('
+    if (fn == "max") {
+      expr();
+      expect(',');
+      expr();
+      expect(')');
+      push(Expr::Op::Max);
+    } else if (fn == "abs" || fn == "log10") {
+      expr();
+      expect(')');
+      push(fn == "abs" ? Expr::Op::Abs : Expr::Op::Log10);
+    } else if (runtime_ && (fn == "v" || fn == "i")) {
+      const std::string bench = argument();
+      expect(',');
+      const std::string what = argument();
+      expect(')');
+      add_ref({fn == "v" ? ExprRef::Kind::NodeVoltage
+                         : ExprRef::Kind::SourceCurrent,
+               bench, what, static_cast<int>(start)});
+    } else {
+      pos_ = start;
+      fail("unknown function \"" + fn + "\" (known: max, abs, log10" +
+           (runtime_ ? ", v, i)" : ")"));
+    }
+  }
+
+  // A bench, net or source name inside v(...)/i(...).
+  std::string argument() {
+    std::string out;
+    while (peek() != ',' && peek() != ')' && peek() != '\0') {
+      out += text_[pos_++];
+    }
+    if (out.empty()) fail("expected a name");
+    return out;
+  }
+
+  void add_ref(ExprRef ref) {
+    push(Expr::Op::Ref, 0.0, static_cast<int>(out_.refs_.size()));
+    out_.refs_.push_back(std::move(ref));
   }
 
   const std::string& text_;
+  bool runtime_;
   Expr& out_;
   std::size_t pos_ = 0;
 };
 
-Expr Expr::parse(const std::string& text) {
+Expr Expr::parse(const std::string& text, bool runtime) {
   if (text.empty()) {
     throw std::invalid_argument("expression: empty input");
   }
   Expr out;
   out.text_ = text;
-  ExprParser(text, out).run();
+  ExprParser(text, runtime, out).run();
   return out;
 }
 
-double Expr::eval(const Technology& tech) const {
+double Expr::eval(const Technology& tech,
+                  std::span<const double> inputs) const {
   if (ops_.empty()) return 0.0;
+  if (inputs.size() < refs_.size()) {
+    throw std::logic_error("expression \"" + text_ +
+                           "\" evaluated without its run-time inputs");
+  }
   // Stack depth is bounded by the program length; expressions are tiny.
   std::vector<double> stack;
   stack.reserve(ops_.size());
@@ -203,10 +287,19 @@ double Expr::eval(const Technology& tech) const {
         stack.push_back(s.num);
         break;
       case Op::Sym:
-        stack.push_back(kSymbols[s.sym].get(tech));
+        stack.push_back(kSymbols[s.index].get(tech));
+        break;
+      case Op::Ref:
+        stack.push_back(inputs[static_cast<std::size_t>(s.index)]);
         break;
       case Op::Neg:
         stack.back() = -stack.back();
+        break;
+      case Op::Abs:
+        stack.back() = std::fabs(stack.back());
+        break;
+      case Op::Log10:
+        stack.back() = std::log10(stack.back());
         break;
       default: {
         const double b = stack.back();
@@ -215,7 +308,8 @@ double Expr::eval(const Technology& tech) const {
         if (s.op == Op::Add) a += b;
         else if (s.op == Op::Sub) a -= b;
         else if (s.op == Op::Mul) a *= b;
-        else a /= b;
+        else if (s.op == Op::Div) a /= b;
+        else a = std::max(a, b);
       }
     }
   }

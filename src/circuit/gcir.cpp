@@ -59,7 +59,7 @@ class GcirParser {
                              std::to_string(col) + ": " + what);
   }
 
-  std::vector<Token> tokenize(const std::string& line) const {
+  std::vector<Token> tokenize(const std::string& line, int line_no) const {
     std::vector<Token> out;
     std::size_t i = 0;
     while (i < line.size()) {
@@ -72,6 +72,14 @@ class GcirParser {
       const std::size_t start = i;
       while (i < line.size() && line[i] != ' ' && line[i] != '\t' &&
              line[i] != '\r' && line[i] != '#') {
+        if (line[i] == '"') {  // a quoted span keeps its spaces
+          const std::size_t close = line.find('"', i + 1);
+          if (close == std::string::npos) {
+            fail(line_no, static_cast<int>(i) + 1,
+                 "unterminated quoted string");
+          }
+          i = close;
+        }
         ++i;
       }
       out.push_back({line.substr(start, i - start),
@@ -86,18 +94,22 @@ class GcirParser {
     return {tok.text.substr(0, eq), tok.text.substr(eq + 1), true, tok.col};
   }
 
+  // Column of a key=value token's value, past "key=".
+  static int value_col(const KeyValue& kv) {
+    return kv.col + static_cast<int>(kv.key.size()) + 1;
+  }
+
   Expr parse_expr(int line, const KeyValue& kv) const {
     if (kv.value.empty()) {
       fail(line, kv.col, "\"" + kv.key + "\" needs a value");
     }
-    // Column of the value itself, past "key=".
-    return parse_expr_text(
-        line, kv.col + static_cast<int>(kv.key.size()) + 1, kv.value);
+    return parse_expr_text(line, value_col(kv), kv.value);
   }
 
-  Expr parse_expr_text(int line, int col, const std::string& text) const {
+  Expr parse_expr_text(int line, int col, const std::string& text,
+                       bool runtime = false) const {
     try {
-      return Expr::parse(text);
+      return Expr::parse(text, runtime);
     } catch (const std::invalid_argument& e) {
       // Expr::parse reports "... at offset N: ..."; shift the column to
       // the offending character inside the token.
@@ -208,6 +220,109 @@ class GcirParser {
     }
   }
 
+  // Nets and sources of bench `b`: the declared ones plus those the bench
+  // adds to its own copy of the netlist.
+  bool bench_net(const BenchDesc& b, const std::string& name) const {
+    if (net_declared(name)) return true;
+    for (const BenchAddDesc& a : b.adds) {
+      if (a.net == name) return true;
+    }
+    return false;
+  }
+
+  const SourceDesc* bench_source(const BenchDesc& b,
+                                 const std::string& name) const {
+    if (const SourceDesc* s = find_source(name)) return s;
+    for (const BenchAddDesc& a : b.adds) {
+      if (a.source && a.source->name == name) return &*a.source;
+    }
+    return nullptr;
+  }
+
+  bool extract_declared(const std::string& metric) const {
+    for (const ExtractDesc& e : d_.extracts) {
+      if (e.metric == metric) return true;
+    }
+    return false;
+  }
+
+  // Parameter slot of `key` on `dev` (0 = w/r/c, 1 = l, 2 = m), or -1.
+  static int param_slot(const DeviceDesc& dev, const std::string& key) {
+    const bool mos = dev.kind == Kind::Nmos || dev.kind == Kind::Pmos;
+    if (mos && key == "w") return 0;
+    if (mos && key == "l") return 1;
+    if (mos && key == "m") return 2;
+    if (dev.kind == Kind::Resistor && key == "r") return 0;
+    if (dev.kind == Kind::Capacitor && key == "c") return 0;
+    return -1;
+  }
+
+  // Parses a measurement-plan expression at (line, col) and checks its
+  // run-time inputs: v()/i() may name the first `bench_limit` benches,
+  // and earlier extractions are readable only when `metrics` is set.
+  Expr parse_plan_expr(int line, int col, const std::string& text,
+                       int bench_limit, bool metrics) const {
+    Expr e = parse_expr_text(line, col, text, /*runtime=*/true);
+    for (const ExprRef& r : e.refs()) {
+      const int at = col + r.offset;
+      switch (r.kind) {
+        case ExprRef::Kind::NodeVoltage:
+        case ExprRef::Kind::SourceCurrent: {
+          const bool volt = r.kind == ExprRef::Kind::NodeVoltage;
+          const std::string fn = volt ? "v(" : "i(";
+          const int bi = find_bench(r.a);
+          if (bi < 0 || bi >= bench_limit) {
+            fail(line, at,
+                 fn + "): \"" + r.a +
+                     "\" is not a bench that runs before this point");
+          }
+          const BenchDesc& b = d_.benches[static_cast<std::size_t>(bi)];
+          if (volt && !bench_net(b, r.b)) {
+            fail(line, at,
+                 "v(): unknown net \"" + r.b + "\" in bench \"" + r.a + "\"");
+          }
+          if (!volt) {
+            const SourceDesc* src = bench_source(b, r.b);
+            if (src == nullptr || !src->is_vsource) {
+              fail(line, at,
+                   "i(): \"" + r.b + "\" is not a voltage source of bench \"" +
+                       r.a + "\"");
+            }
+          }
+          break;
+        }
+        case ExprRef::Kind::Param: {
+          const DeviceDesc* dev = find_device(r.a);
+          if (dev == nullptr || !dev->designable) {
+            fail(line, at,
+                 "\"" + r.a + "\" is not a designable component");
+          }
+          if (param_slot(*dev, r.b) < 0) {
+            fail(line, at,
+                 "\"" + r.b + "\" is not a parameter of " +
+                     kind_name(dev->kind) + " \"" + r.a + "\"");
+          }
+          break;
+        }
+        case ExprRef::Kind::Metric:
+          if (!metrics) {
+            fail(line, at,
+                 "\"" + r.a +
+                     "\" is not a technology symbol, and only extract "
+                     "expressions read metrics");
+          }
+          if (!extract_declared(r.a)) {
+            fail(line, at,
+                 "unknown metric \"" + r.a +
+                     "\" (an expression reads extractions declared before "
+                     "it)");
+          }
+          break;
+      }
+    }
+    return e;
+  }
+
   void need_args(int line, const std::vector<Token>& toks,
                  std::size_t n, const char* usage) const {
     if (toks.size() < n) {
@@ -234,21 +349,10 @@ class GcirParser {
     if (at == std::string::npos || line.compare(at, 6, "#lint:") != 0) {
       return false;
     }
-    std::vector<Token> toks;
-    std::size_t i = at + 6;
-    while (i < line.size()) {
-      if (line[i] == ' ' || line[i] == '\t' || line[i] == '\r') {
-        ++i;
-        continue;
-      }
-      const std::size_t start = i;
-      while (i < line.size() && line[i] != ' ' && line[i] != '\t' &&
-             line[i] != '\r') {
-        ++i;
-      }
-      toks.push_back({line.substr(start, i - start),
-                      static_cast<int>(start) + 1});
-    }
+    // Blank out "#lint:" so the pragma tokenizes in place (columns kept).
+    std::string body = line;
+    body.replace(at, 6, 6, ' ');
+    const std::vector<Token> toks = tokenize(body, line_no);
     if (toks.size() != 2 || toks[0].text != "allow") {
       fail(line_no, static_cast<int>(at) + 1,
            "lint pragma: expected \"#lint: allow CHECK-ID\"");
@@ -259,7 +363,7 @@ class GcirParser {
 
   void parse_line(const std::string& line, int line_no) {
     if (parse_lint_pragma(line, line_no)) return;
-    const std::vector<Token> toks = tokenize(line);
+    const std::vector<Token> toks = tokenize(line, line_no);
     if (toks.empty()) return;
     const std::string& dir = toks[0].text;
     if (dir != "circuit" && d_.name.empty()) {
@@ -281,13 +385,15 @@ class GcirParser {
     else if (dir == "noise") parse_noise(line_no, toks);
     else if (dir == "tran") parse_tran(line_no, toks);
     else if (dir == "warm") parse_warm(line_no, toks);
+    else if (dir == "add") parse_add(line_no, toks);
     else if (dir == "extract") parse_extract(line_no, toks);
+    else if (dir == "guard") parse_guard(line_no, toks);
     else {
       fail(line_no, toks[0].col,
            "unknown directive \"" + dir +
                "\" (known: circuit, supply, net, vsource, isource, nmos, "
                "pmos, resistor, capacitor, bound, match, metric, expert, "
-               "bench, set, ac, noise, tran, warm, extract)");
+               "bench, set, add, ac, noise, tran, warm, extract, guard)");
     }
   }
 
@@ -320,38 +426,65 @@ class GcirParser {
   }
 
   void parse_source(int line, const std::vector<Token>& toks) {
-    need_args(line, toks, 5,
-              "vsource|isource NAME P N dc=EXPR [ac=EXPR] [pwl=...]");
+    SourceDesc s = read_source(line, toks, 0, nullptr);
+    d_.element_order.push_back({true, static_cast<int>(d_.sources.size())});
+    d_.sources.push_back(std::move(s));
+  }
+
+  // "vsource|isource NAME P N dc=EXPR [ac=EXPR] [pwl=...]" starting at
+  // toks[at]. With a `bench`, the source joins that bench's copy only: its
+  // nets may be ones the bench added, and dc/ac may read run-time inputs
+  // of earlier benches.
+  SourceDesc read_source(int line, const std::vector<Token>& toks,
+                         std::size_t at, const BenchDesc* bench) const {
+    if (toks.size() < at + 5) {
+      fail(line, toks[0].col,
+           "\"" + toks[0].text + "\" needs: " +
+               (bench != nullptr ? "add BENCH " : "") +
+               "vsource|isource NAME P N dc=EXPR [ac=EXPR] [pwl=...]");
+    }
     SourceDesc s;
-    s.is_vsource = toks[0].text == "vsource";
-    s.name = toks[1].text;
+    s.is_vsource = toks[at].text == "vsource";
+    s.name = toks[at + 1].text;
     s.line = line;
     s.col = toks[0].col;
-    require_unique_element(line, toks[1]);
-    require_net(line, toks[2]);
-    require_net(line, toks[3]);
-    s.p = toks[2].text;
-    s.n = toks[3].text;
+    require_unique_element(line, toks[at + 1]);
+    if (bench != nullptr && bench_source(*bench, s.name) != nullptr) {
+      fail(line, toks[at + 1].col,
+           "duplicate element name \"" + s.name + "\"");
+    }
+    for (std::size_t i = at + 2; i < at + 4; ++i) {
+      if (bench == nullptr) {
+        require_net(line, toks[i]);
+      } else if (!bench_net(*bench, toks[i].text)) {
+        fail(line, toks[i].col,
+             "undeclared net \"" + toks[i].text + "\" in bench \"" +
+                 bench->name + "\"");
+      }
+    }
+    s.p = toks[at + 2].text;
+    s.n = toks[at + 3].text;
     bool have_dc = false;
-    for (std::size_t i = 4; i < toks.size(); ++i) {
+    for (std::size_t i = at + 4; i < toks.size(); ++i) {
       const KeyValue kv = split_kv(toks[i]);
-      if (kv.key == "dc") {
-        s.dc = parse_expr(line, kv);
-        have_dc = true;
-      } else if (kv.key == "ac") {
-        s.ac = parse_expr(line, kv);
+      if (kv.key == "dc" || kv.key == "ac") {
+        Expr e = bench == nullptr
+                     ? parse_expr(line, kv)
+                     : parse_plan_expr(line, value_col(kv), kv.value,
+                                       find_bench(bench->name), false);
+        (kv.key == "dc" ? s.dc : s.ac) = std::move(e);
+        have_dc = have_dc || kv.key == "dc";
       } else if (kv.key == "pwl") {
         s.pwl = parse_pwl(line, kv);
       } else {
-        unknown_key(line, kv, toks[0].text.c_str(), "dc, ac, pwl");
+        unknown_key(line, kv, toks[at].text.c_str(), "dc, ac, pwl");
       }
     }
     if (!have_dc) {
       fail(line, toks[0].col,
            "source \"" + s.name + "\" needs \"dc=EXPR\"");
     }
-    d_.element_order.push_back({true, static_cast<int>(d_.sources.size())});
-    d_.sources.push_back(std::move(s));
+    return s;
   }
 
   void parse_mos(int line, const std::vector<Token>& toks) {
@@ -443,13 +576,8 @@ class GcirParser {
     b.comp = dev.name;
     b.line = line;
     b.col = toks[2].col;
-    const bool mos = dev.kind == Kind::Nmos || dev.kind == Kind::Pmos;
-    if (mos && param == "w") b.param = 0;
-    else if (mos && param == "l") b.param = 1;
-    else if (mos && param == "m") b.param = 2;
-    else if (dev.kind == Kind::Resistor && param == "r") b.param = 0;
-    else if (dev.kind == Kind::Capacitor && param == "c") b.param = 0;
-    else {
+    b.param = param_slot(dev, param);
+    if (b.param < 0) {
       fail(line, kv.col,
            "bound: \"" + param + "\" is not a parameter of " +
                kind_name(dev.kind) + " \"" + dev.name + "\"");
@@ -584,10 +712,27 @@ class GcirParser {
 
   void parse_set(int line, const std::vector<Token>& toks) {
     need_args(line, toks, 4,
-              "set BENCH SOURCE [dc=EXPR] [ac=EXPR] [pwl=...]");
+              "set BENCH SOURCE [dc=EXPR] [ac=EXPR] [pwl=...] | "
+              "set BENCH MOS g=NET");
     BenchDesc& bench = require_bench(line, toks[1]);
+    const DeviceDesc* dev = find_device(toks[2].text);
+    if (dev != nullptr &&
+        (dev->kind == Kind::Nmos || dev->kind == Kind::Pmos)) {
+      const KeyValue kv = split_kv(toks[3]);
+      if (kv.key != "g" || !kv.has_value || toks.size() > 4) {
+        fail(line, toks[3].col, "set: a MOSFET takes only g=NET");
+      }
+      if (!bench_net(bench, kv.value)) {
+        fail(line, value_col(kv),
+             "undeclared net \"" + kv.value + "\" in bench \"" +
+                 bench.name + "\"");
+      }
+      bench.gates.push_back({dev->name, kv.value, line, toks[0].col});
+      return;
+    }
     if (find_source(toks[2].text) == nullptr) {
-      fail(line, toks[2].col, "unknown source \"" + toks[2].text + "\"");
+      fail(line, toks[2].col,
+           "unknown source or MOSFET \"" + toks[2].text + "\"");
     }
     SourceSetDesc set;
     set.source = toks[2].text;
@@ -601,6 +746,28 @@ class GcirParser {
       else unknown_key(line, kv, "set", "dc, ac, pwl");
     }
     bench.sets.push_back(std::move(set));
+  }
+
+  void parse_add(int line, const std::vector<Token>& toks) {
+    need_args(line, toks, 4,
+              "add BENCH net NET... | add BENCH vsource|isource NAME P N "
+              "dc=EXPR [ac=EXPR] [pwl=...]");
+    BenchDesc& bench = require_bench(line, toks[1]);
+    const std::string& what = toks[2].text;
+    if (what == "net") {
+      for (std::size_t i = 3; i < toks.size(); ++i) {
+        if (is_ground_alias(toks[i].text) || bench_net(bench, toks[i].text)) {
+          fail(line, toks[i].col, "duplicate net \"" + toks[i].text + "\"");
+        }
+        bench.adds.push_back({toks[i].text, std::nullopt, line, toks[i].col});
+      }
+    } else if (what == "vsource" || what == "isource") {
+      SourceDesc src = read_source(line, toks, 2, &bench);
+      bench.adds.push_back({"", std::move(src), line, toks[0].col});
+    } else {
+      fail(line, toks[2].col,
+           "add: expected net, vsource or isource, got \"" + what + "\"");
+    }
   }
 
   void parse_ac(int line, const std::vector<Token>& toks) {
@@ -617,9 +784,9 @@ class GcirParser {
     sweep.fmax = parse_expr_text(line, toks[3].col, toks[3].text);
     char* end = nullptr;
     const long n = std::strtol(toks[4].text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || n < 2 || n > 100000) {
+    if (end == nullptr || *end != '\0' || n < 1 || n > 100000) {
       fail(line, toks[4].col,
-           "ac: NPOINTS must be an integer in [2, 100000]");
+           "ac: NPOINTS must be an integer in [1, 100000]");
     }
     sweep.npoints = static_cast<int>(n);
     bench.ac = std::move(sweep);
@@ -713,53 +880,86 @@ class GcirParser {
     bench.warm_from = kv.value;
   }
 
+  // "NODE[,NODE]" of a probe= or over= key, checked against the nets
+  // bench `b` sees once every key of the line is known.
+  struct ProbeKey {
+    std::string p, n;
+    int col = 0;
+  };
+
+  static ProbeKey split_probe(const KeyValue& kv) {
+    const std::size_t comma = kv.value.find(',');
+    ProbeKey out{kv.value.substr(0, comma), "", kv.col};
+    if (comma != std::string::npos) out.n = kv.value.substr(comma + 1);
+    return out;
+  }
+
+  void check_probe(int line, const ProbeKey& probe, const BenchDesc& b,
+                   const char* key) const {
+    if (probe.p.empty()) return;
+    if (!bench_net(b, probe.p) ||
+        (!probe.n.empty() && !bench_net(b, probe.n))) {
+      fail(line, probe.col,
+           std::string(key) + "= names an undeclared net");
+    }
+  }
+
   void parse_extract(int line, const std::vector<Token>& toks) {
-    need_args(line, toks, 4,
+    need_args(line, toks, 3,
               "extract METRIC FN bench=BENCH [probe=NODE[,NODE]] [at=EXPR] "
-              "[window=EXPR,EXPR] [edge=EXPR] [tol=EXPR]");
+              "[window=EXPR,EXPR] [edge=EXPR] [tol=EXPR] [scale=EXPR] "
+              "[over=NODE[,NODE]] [temp] | extract METRIC expr=EXPR [temp]");
     ExtractDesc e;
     e.metric = toks[1].text;
     e.line = line;
     e.col = toks[0].col;
-    for (const ExtractDesc& prev : d_.extracts) {
-      if (prev.metric == e.metric) {
-        fail(line, toks[1].col,
-             "duplicate extraction for metric \"" + e.metric + "\"");
-      }
+    if (extract_declared(e.metric)) {
+      fail(line, toks[1].col,
+           "duplicate extraction for metric \"" + e.metric + "\"");
     }
     const std::string& fn = toks[2].text;
-    if (fn == "supply_power") e.fn = ExtractFn::SupplyPower;
+    std::size_t first_key = 3;
+    if (fn.rfind("expr=", 0) == 0) {
+      e.fn = ExtractFn::Expression;
+      first_key = 2;
+    } else if (fn == "supply_power") e.fn = ExtractFn::SupplyPower;
     else if (fn == "dc_gain") e.fn = ExtractFn::DcGain;
     else if (fn == "bandwidth_3db") e.fn = ExtractFn::Bandwidth3db;
     else if (fn == "peaking_db") e.fn = ExtractFn::PeakingDb;
     else if (fn == "gbw") e.fn = ExtractFn::Gbw;
     else if (fn == "input_noise") e.fn = ExtractFn::InputNoise;
     else if (fn == "settling_time") e.fn = ExtractFn::SettlingTime;
+    else if (fn == "phase_margin") e.fn = ExtractFn::PhaseMargin;
     else {
       fail(line, toks[2].col,
            "unknown extraction \"" + fn +
                "\" (known: supply_power, dc_gain, bandwidth_3db, "
-               "peaking_db, gbw, input_noise, settling_time)");
+               "peaking_db, gbw, input_noise, settling_time, phase_margin, "
+               "or expr=EXPR)");
     }
+    const int benches = static_cast<int>(d_.benches.size());
     int bench_idx = -1;
-    for (std::size_t i = 3; i < toks.size(); ++i) {
+    ProbeKey probe, over;
+    for (std::size_t i = first_key; i < toks.size(); ++i) {
       const KeyValue kv = split_kv(toks[i]);
-      if (kv.key == "bench" && kv.has_value) {
+      if (kv.key == "temp" && !kv.has_value) {
+        e.temp = true;
+      } else if (e.fn == ExtractFn::Expression) {
+        if (kv.key != "expr" || e.value) {
+          unknown_key(line, kv, "extract expr=", "temp");
+        }
+        e.value = parse_plan_expr(line, value_col(kv), kv.value, benches,
+                                  /*metrics=*/true);
+      } else if (kv.key == "bench" && kv.has_value) {
         bench_idx = find_bench(kv.value);
         if (bench_idx < 0) {
           fail(line, kv.col, "unknown bench \"" + kv.value + "\"");
         }
         e.bench = kv.value;
       } else if (kv.key == "probe" && kv.has_value) {
-        const std::size_t comma = kv.value.find(',');
-        e.probe_p = kv.value.substr(0, comma);
-        if (comma != std::string::npos) {
-          e.probe_n = kv.value.substr(comma + 1);
-        }
-        if (!net_declared(e.probe_p) ||
-            (!e.probe_n.empty() && !net_declared(e.probe_n))) {
-          fail(line, kv.col, "probe= names an undeclared net");
-        }
+        probe = split_probe(kv);
+      } else if (kv.key == "over" && kv.has_value) {
+        over = split_probe(kv);
       } else if (kv.key == "at") {
         e.at_freq = parse_expr(line, kv);
       } else if (kv.key == "window" && kv.has_value) {
@@ -773,21 +973,35 @@ class GcirParser {
         e.edge = parse_expr(line, kv);
       } else if (kv.key == "tol") {
         e.tol = parse_expr(line, kv);
+      } else if (kv.key == "scale") {
+        if (kv.value.empty()) fail(line, kv.col, "\"scale\" needs a value");
+        e.scale = parse_plan_expr(line, value_col(kv), kv.value, benches,
+                                  /*metrics=*/true);
       } else {
         unknown_key(line, kv, "extract",
-                    "bench, probe, at, window, edge, tol");
+                    "bench, probe, at, window, edge, tol, scale, over, temp");
       }
+    }
+    if (e.fn == ExtractFn::Expression) {
+      if (!e.value) fail(line, toks[0].col, "extract: needs expr=EXPR");
+      d_.extracts.push_back(std::move(e));
+      return;
     }
     if (bench_idx < 0) {
       fail(line, toks[0].col, "extract: needs bench=BENCH");
     }
     const BenchDesc& bench = d_.benches[static_cast<std::size_t>(bench_idx)];
-    const bool needs_ac = e.fn == ExtractFn::DcGain ||
-                          e.fn == ExtractFn::Bandwidth3db ||
-                          e.fn == ExtractFn::PeakingDb ||
-                          e.fn == ExtractFn::Gbw ||
-                          e.fn == ExtractFn::InputNoise;
-    if (needs_ac) {
+    check_probe(line, probe, bench, "probe");
+    check_probe(line, over, bench, "over");
+    e.probe_p = probe.p;
+    e.probe_n = probe.n;
+    e.over_p = over.p;
+    e.over_n = over.n;
+    if ((e.scale || !e.over_p.empty()) && e.fn != ExtractFn::PhaseMargin) {
+      fail(line, toks[0].col,
+           "extract " + fn + ": scale= and over= belong to phase_margin");
+    }
+    if (reads_ac(e.fn)) {
       if (e.probe_p.empty()) {
         fail(line, toks[0].col,
              "extract " + fn + ": needs probe=NODE[,NODE]");
@@ -814,6 +1028,41 @@ class GcirParser {
       }
     }
     d_.extracts.push_back(std::move(e));
+  }
+
+  void parse_guard(int line, const std::vector<Token>& toks) {
+    need_args(line, toks, 3,
+              "guard value=EXPR [min=EXPR] [max=EXPR] message=\"TEXT\"");
+    GuardDesc g;
+    g.after = static_cast<int>(d_.benches.size());
+    g.line = line;
+    g.col = toks[0].col;
+    bool have_value = false;
+    for (std::size_t i = 1; i < toks.size(); ++i) {
+      const KeyValue kv = split_kv(toks[i]);
+      if (kv.key == "value" || kv.key == "min" || kv.key == "max") {
+        if (kv.value.empty()) {
+          fail(line, kv.col, "\"" + kv.key + "\" needs a value");
+        }
+        Expr e = parse_plan_expr(line, value_col(kv), kv.value, g.after,
+                                 /*metrics=*/false);
+        if (kv.key == "value") {
+          g.value = std::move(e);
+          have_value = true;
+        } else {
+          (kv.key == "min" ? g.min : g.max) = std::move(e);
+        }
+      } else if (kv.key == "message") {
+        g.message = parse_string(line, kv);
+      } else {
+        unknown_key(line, kv, "guard", "value, min, max, message");
+      }
+    }
+    if (!have_value || (!g.min && !g.max) || g.message.empty()) {
+      fail(line, toks[0].col,
+           "guard: needs value=, min= and/or max=, and message=");
+    }
+    d_.guards.push_back(std::move(g));
   }
 
   // --- whole-file invariants ---------------------------------------------

@@ -4,7 +4,7 @@
 //
 // Vertices are the designable components; an edge connects two components
 // that share at least one non-supply net. Supply rails (VDD/ground/bias
-// voltage rails marked by the circuit builder) are excluded because they
+// voltage rails marked as supplies in the netlist) are excluded because they
 // would make the graph near-complete and wash out locality — the GCN's
 // receptive-field argument relies on signal-path adjacency.
 #pragma once

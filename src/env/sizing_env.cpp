@@ -57,18 +57,6 @@ std::vector<EvalResult> SizingEnv::step_batch(
   return svc_->eval_batch(bc_, actions, attr_);
 }
 
-EvalResult SizingEnv::step_flat(std::span<const double> x) {
-  return step(bc_.space.unflatten(x));
-}
-
-std::vector<EvalResult> SizingEnv::step_flat_batch(
-    std::span<const std::vector<double>> xs) {
-  std::vector<la::Mat> actions;
-  actions.reserve(xs.size());
-  for (const auto& x : xs) actions.push_back(bc_.space.unflatten(x));
-  return step_batch(actions);
-}
-
 EvalResult SizingEnv::evaluate_params(const circuit::DesignParams& p) {
   return step(bc_.space.actions_from_params(p));
 }

@@ -46,8 +46,10 @@ struct BenchmarkCircuit {
   // therefore be a pure function of its argument: capture everything by
   // value (in particular the Technology — never a reference to the
   // enclosing builder's `tech`), construct Simulators locally, and touch
-  // no shared mutable state. All four builders in src/circuits/ comply
-  // and are covered by the 8-thread tests in test_circuits/test_eval.
+  // no shared mutable state. Compiled .gcir circuits comply by
+  // construction (env::compile_circuit: an immutable shared plan, a
+  // Technology copy, Simulators local to meas::run_plan), and the shipped
+  // ones are covered by the 8-thread tests in test_circuits/test_eval.
   std::function<MetricMap(const circuit::Netlist&)> evaluate;
   circuit::DesignParams human_expert;
 };
@@ -102,16 +104,14 @@ class SizingEnv {
   [[nodiscard]] IndexMode index_mode() const { return mode_; }
 
   // --- evaluation ------------------------------------------------------
-  // All evaluation funnels through the EvalService: step/step_flat are
-  // thin wrappers over batches of one. Batch results come back in
-  // submission order and are bit-identical for every thread count.
+  // All evaluation funnels through the EvalService: step is a thin
+  // wrapper over a batch of one. Batch results come back in submission
+  // order and are bit-identical for every thread count.
   // actions: n x kMaxActionDim in [-1, 1].
   EvalResult step(const la::Mat& actions);
   std::vector<EvalResult> step_batch(std::span<const la::Mat> actions);
-  // Flattened views for the black-box baselines.
-  EvalResult step_flat(std::span<const double> x);
-  std::vector<EvalResult> step_flat_batch(
-      std::span<const std::vector<double>> xs);
+  // Length of the flattened [-1, 1] vector the black-box optimizers search
+  // (DesignSpace::flatten / unflatten).
   [[nodiscard]] int flat_dim() const { return bc_.space.flat_dim(); }
   // Evaluate explicit parameters (the human-expert anchor) through the
   // identical refine -> simulate -> FoM pipeline.

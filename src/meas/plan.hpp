@@ -1,12 +1,11 @@
 // Resolved measurement plans: the runnable form of a .gcir description's
 // testbenches and extractions.
 //
-// A Plan is fully resolved — node ids instead of net names, doubles
-// instead of Exprs, bench indices instead of bench names — and is built
-// once per (description, technology) by env::compile_circuit(). run_plan()
-// is the interpreter: it plays the plan against a *sized* netlist exactly
-// the way the hand-written builders in src/circuits/ run their analyses,
-// and is the body of a compiled circuit's `evaluate` closure.
+// A Plan is fully resolved — node ids instead of net names, bench and
+// extraction indices instead of names, doubles wherever the value does not
+// depend on the design — and is built once per (description, technology)
+// by env::compile_circuit(). run_plan() is the interpreter and the body of
+// a compiled circuit's `evaluate` closure.
 //
 // Concurrency contract (env::BenchmarkCircuit::evaluate): run_plan is a
 // pure function of (plan, sized netlist, technology). It constructs its
@@ -33,8 +32,6 @@ namespace gcnrl::meas {
 using MetricMap = std::map<std::string, double>;
 
 // --- curve extraction helpers ----------------------------------------------
-// (Shared with the hand-written builders; circuits/helpers.hpp re-exports
-// them under gcnrl::circuits::detail.)
 
 // Single-ended transfer curve at `node`.
 inline AcCurve curve_at(const sim::AcResult& ac, int node) {
@@ -99,8 +96,25 @@ inline double input_referred_noise(const sim::NoiseResult& nr,
 
 // --- the resolved plan -------------------------------------------------------
 
-// Per-bench source edit, applied to a copy of the sized netlist (the .gcir
-// twin of `nl.find_vsource("VDD")->ac = 1.0` in a builder).
+// A run-time input of a Scalar, resolved to indices.
+struct InputPlan {
+  circuit::ExprRef::Kind kind = circuit::ExprRef::Kind::Metric;
+  int bench = -1;      // NodeVoltage, SourceCurrent
+  int node = 0;        // NodeVoltage: node id in the bench's netlist
+  std::string source;  // SourceCurrent: voltage source name
+  int comp = -1;       // Param: design component index
+  int slot = 0;        // Param: parameter slot (0 = w/r/c, 1 = l, 2 = m)
+  int extract = -1;    // Metric: index into Plan::extracts
+};
+
+// A number a plan step needs: an Expr plus its resolved run-time inputs
+// (none for a constant).
+struct Scalar {
+  circuit::Expr expr;
+  std::vector<InputPlan> inputs;  // one per expr.refs() entry
+};
+
+// Per-bench source edit, applied to a copy of the sized netlist.
 struct SourceOverride {
   bool is_vsource = true;
   std::string name;
@@ -109,13 +123,25 @@ struct SourceOverride {
   std::optional<circuit::Pwl> pwl;
 };
 
+// A net (empty `source`) or a source appended to a bench's copy.
+struct BenchAddition {
+  std::string net;
+  std::string source;
+  bool is_vsource = true;
+  int p = 0, n = 0;  // node ids in the bench's netlist
+  Scalar dc, ac;
+  circuit::Pwl pwl;
+};
+
 // One testbench: one Simulator over the (possibly edited) sized netlist.
 // Analyses run in the fixed order ac -> noise -> tran; all derive from the
-// bench's single cached DC operating point, so this order is numerically
-// interchangeable with any builder's.
+// bench's single cached DC operating point, which is solved when first
+// needed.
 struct BenchPlan {
   std::string name;
   std::vector<SourceOverride> sets;
+  std::vector<BenchAddition> adds;                 // in file order
+  std::vector<std::pair<std::string, int>> gates;  // MOSFET -> gate node
   std::optional<std::vector<double>> ac_freqs;
   std::optional<std::vector<double>> noise_freqs;
   int noise_p = 0, noise_n = 0;
@@ -126,21 +152,47 @@ struct BenchPlan {
 struct ExtractPlan {
   std::string metric;  // MetricMap key produced
   circuit::ExtractFn fn = circuit::ExtractFn::DcGain;
-  int bench = 0;
+  int bench = -1;
   int probe_p = -1;  // node id; -1 = no probe (SupplyPower)
   int probe_n = -1;  // node id; -1 = single-ended probe
   double at_freq = 0.0;                              // InputNoise
   double win_t0 = 0.0, win_t1 = 0.0;                 // SettlingTime
   double edge = 0.0, tol = 0.0;                      // SettlingTime
+  std::optional<Scalar> scale;                       // PhaseMargin
+  int over_p = -1, over_n = -1;                      // PhaseMargin divisor
+  Scalar value;                                      // Expression
+  bool temp = false;  // read by later expressions, left out of the map
+};
+
+struct GuardPlan {
+  Scalar value;
+  std::optional<Scalar> min, max;
+  std::string message;
+};
+
+// One entry of the execution order.
+struct PlanStep {
+  enum class Kind { Bench, Extract, Guard };
+  Kind kind = Kind::Bench;
+  int index = 0;  // into benches, extracts or guards
 };
 
 struct Plan {
   std::vector<BenchPlan> benches;
   std::vector<ExtractPlan> extracts;
+  std::vector<GuardPlan> guards;
+  // Benches in declaration order. Each extraction runs right after the
+  // last bench it reads, guards run where they are declared, both in file
+  // order. A bench's analysis results are dropped after the last step
+  // that measures them (`last_result_use`), its simulator and operating
+  // point after the last step that reads the bench at all (`last_use`).
+  std::vector<PlanStep> steps;
+  std::vector<int> last_result_use;
+  std::vector<int> last_use;
 };
 
-// Runs every bench (simulations) then every extraction (pure math) and
-// returns the metric map. Throws sim::SimError when an analysis fails.
+// Runs the plan's steps against a sized netlist and returns the metric
+// map. Throws sim::SimError when an analysis fails or a guard trips.
 MetricMap run_plan(const Plan& plan, const circuit::Netlist& sized,
                    const circuit::Technology& tech);
 

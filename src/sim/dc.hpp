@@ -57,9 +57,9 @@ OpPoint solve_dc(const SimContext& ctx, const DcOptions& opt = {},
 // Projects an operating point solved on one netlist onto the unknown
 // vector of a (possibly structurally different) netlist: node voltages
 // are copied by node id, voltage-source branch currents by source index,
-// anything the source op does not cover starts at zero. Testbench
-// derivations in the circuit builders only ever *append* nodes and
-// sources to the sized netlist, so the shared prefix lines up exactly.
+// anything the source op does not cover starts at zero. Derived benches
+// (the `add` lines of a .gcir plan) only ever *append* nodes and sources
+// to the sized netlist, so the shared prefix lines up exactly.
 std::vector<double> project_op(const OpPoint& op, const MnaMap& map);
 
 }  // namespace gcnrl::sim

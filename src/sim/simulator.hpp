@@ -1,11 +1,11 @@
 // Simulator facade: the drop-in for Spectre/Hspice in the sizing loop.
 //
 // One Simulator instance wraps a *sized* netlist plus a technology node;
-// analyses are lazily driven off the (cached) DC operating point. Circuit
-// builders construct one Simulator per analysis configuration (closed
-// loop, open loop, loop-gain injection, ...) because the configurations
-// differ structurally, exactly as separate testbenches would in a real
-// flow.
+// analyses are lazily driven off the (cached) DC operating point. A
+// measurement plan (meas/plan.hpp) constructs one Simulator per bench
+// (closed loop, open loop, loop-gain injection, ...) because the
+// configurations differ structurally, exactly as separate testbenches
+// would in a real flow.
 //
 // DC warm starts come only from the design under evaluation, so a result
 // stays a pure function of the design: warm_start_from(op) takes an

@@ -34,7 +34,10 @@ inline rl::RunResult run_optimizer(env::SizingEnv& env,
       room = std::min(room, static_cast<std::size_t>(max_sims - out.sims));
     }
     if (xs.size() > room) xs.resize(room);
-    const auto results = env.step_flat_batch(xs);
+    std::vector<la::Mat> actions;
+    actions.reserve(xs.size());
+    for (const auto& x : xs) actions.push_back(space.unflatten(x));
+    const auto results = env.step_batch(actions);
     std::vector<double> ys;
     ys.reserve(results.size());
     for (std::size_t i = 0; i < results.size(); ++i) {

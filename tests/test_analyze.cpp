@@ -417,6 +417,34 @@ TEST(AnalyzeUnit, ExtractRequiresAnalysis) {
                         "plan.extract-requires"));
 }
 
+TEST(AnalyzeUnit, PlanExpressionsCountAsUses) {
+  // A bench read only through v()/i(), a temp value read by an
+  // expression, a probe on a net the bench adds, and a spot AC point: all
+  // clean.
+  auto diags = analyze_text(base_gcir() +
+                            "bench op\n"
+                            "bench spot\n"
+                            "add spot net x\n"
+                            "add spot vsource VX x 0 dc=v(op,a) ac=1\n"
+                            "ac spot 1k 1k 1\n"
+                            "extract h dc_gain bench=spot probe=x temp\n"
+                            "extract g2 expr=h*i(op,VIN)\n"
+                            "metric g2 unit=x weight=1\n");
+  EXPECT_TRUE(diags.empty()) << circuit::format_diagnostics(diags);
+  // A temp value nothing reads is unconsumed, and a FoM metric only a temp
+  // extraction produces is unproduced.
+  diags = analyze_text(base_gcir() +
+                       "extract h dc_gain bench=b probe=a temp\n"
+                       "metric h unit=x weight=1\n");
+  EXPECT_TRUE(has_check(diags, "plan.metric-unconsumed"));
+  EXPECT_TRUE(has_check(diags, "plan.metric-unproduced"));
+  // One point needs fmin == fmax.
+  diags = analyze_text(base_gcir() + "bench s\nac s 1k 2k 1\n"
+                       "extract s1 dc_gain bench=s probe=a\n"
+                       "metric s1 unit=x weight=1\n");
+  EXPECT_TRUE(has_check(diags, "plan.ac-sweep"));
+}
+
 TEST(AnalyzeUnit, AllowSuppressesWarningsButNeverErrors) {
   // Warning suppressed by pragma.
   auto diags = analyze_text(base_gcir() +

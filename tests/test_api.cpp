@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -170,7 +171,7 @@ TEST(CircuitRegistry, BuiltinsKeepPaperOrder) {
   EXPECT_EQ(names[2], "Three-TIA");
   EXPECT_EQ(names[3], "LDO");
   // The legacy shim sees the identical list.
-  EXPECT_EQ(gcnrl::circuits::benchmark_names(), names);
+  EXPECT_EQ(gcnrl::api::circuit_names(), names);
 }
 
 TEST(CircuitRegistry, UserCircuitIsRegisteredAndBuildable) {
@@ -190,12 +191,12 @@ TEST(CircuitRegistry, DuplicateRegistrationThrows) {
                std::invalid_argument);
 }
 
-// Regression test for the old make_benchmark error ("unknown circuit X"
-// with no hint): the message must list the valid registered names.
+// An unknown circuit name must be answered with the list of registered
+// names, not a bare "unknown circuit X".
 TEST(CircuitRegistry, UnknownCircuitErrorListsRegisteredNames) {
   const auto tech = circuit::make_technology("180nm");
   try {
-    gcnrl::circuits::make_benchmark("No-Such-Circuit", tech);
+    gcnrl::api::build_circuit("No-Such-Circuit", tech);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
@@ -623,6 +624,18 @@ TEST(CheckpointStore, StampMismatchFailsLoudly) {
   EXPECT_EQ(store.load("art-scalar", dst.parameters(),
                        {"Three-TIA", "65nm", env::IndexMode::Scalar, ""}),
             2);
+  // An artifact without a source fingerprint (earlier builds stamped the
+  // built-ins with none) loads onto the fingerprinted built-in; a
+  // different fingerprint is refused.
+  const std::string tag = api::circuit_source_tag("Two-TIA");
+  EXPECT_EQ(store.load("art", dst.parameters(),
+                       {"Two-TIA", "180nm", env::IndexMode::OneHot, tag}),
+            2);
+  store.put("art-tagged", w.parameters(),
+            {"Two-TIA", "180nm", env::IndexMode::OneHot, "gcir:other"});
+  EXPECT_THROW(store.load("art-tagged", dst.parameters(),
+                          {"Two-TIA", "180nm", env::IndexMode::OneHot, tag}),
+               std::runtime_error);
   // A missing artifact lists what the store holds.
   try {
     store.load("no-such-artifact", dst.parameters(),
@@ -881,8 +894,6 @@ TEST(SpecParser, ShippedSpecsParse) {
   }
   std::sort(files.begin(), files.end());
   ASSERT_GE(files.size(), 21u);  // 5 examples + 8 paper specs x 2 scales
-  // gcnrl_cli registers Demo-OTA itself (specs/custom.json targets it).
-  const std::set<std::string> cli_circuits = {"Demo-OTA"};
   for (const auto& path : files) {
     const api::TaskFile f = api::load_task_spec(path.string());
     EXPECT_FALSE(f.tasks.empty()) << path;
@@ -899,7 +910,6 @@ TEST(SpecParser, ShippedSpecsParse) {
         name = api::register_circuit_file(t.circuit_file);
         EXPECT_TRUE(t.circuit.empty() || t.circuit == name) << path;
       }
-      if (cli_circuits.count(name) != 0) continue;
       ASSERT_TRUE(api::circuit_registered(name)) << path << ": " << name;
       const env::FomSpec fom =
           api::build_circuit(name, circuit::make_technology("180nm")).fom;
@@ -936,17 +946,32 @@ std::string write_temp_gcir(const char* filename, const std::string& body) {
   return path;
 }
 
+std::string read_text(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+// A file circuit that is not built in: the shipped Two-TIA under another
+// declared name.
+std::string two_tia_copy() {
+  std::string text = read_text(shipped("/specs/circuits/two_tia.gcir"));
+  const std::string line = "\ncircuit Two-TIA\n";
+  const std::size_t at = text.find(line);
+  EXPECT_NE(at, std::string::npos);
+  text.replace(at, line.size(), "\ncircuit Two-TIA-copy\n");
+  return write_temp_gcir("gcnrl_two_tia_copy.gcir", text);
+}
+
 TEST(CircuitRegistry, FileCircuitRegistersIdempotently) {
-  const std::string path = shipped("/specs/circuits/two_tia.gcir");
+  const std::string path = two_tia_copy();
   const std::string name = api::register_circuit_file(path);
-  EXPECT_EQ(name, "Two-TIA-gcir");
+  EXPECT_EQ(name, "Two-TIA-copy");
   EXPECT_TRUE(api::circuit_registered(name));
   // Re-registering identical content is a no-op, not a collision — spec
   // files, --circuit flags and repeat passes may all name the same file.
   EXPECT_EQ(api::register_circuit_file(path), name);
-  // File circuits carry a content fingerprint; C++ builders carry none.
+  // File circuits carry a content fingerprint.
   EXPECT_EQ(api::circuit_source_tag(name).rfind("gcir:", 0), 0u);
-  EXPECT_EQ(api::circuit_source_tag("Two-TIA"), "");
   EXPECT_THROW(api::circuit_source_tag("no-such-circuit"),
                std::invalid_argument);
   // Builds like a built-in, on any node.
@@ -954,6 +979,24 @@ TEST(CircuitRegistry, FileCircuitRegistersIdempotently) {
       api::build_circuit(name, circuit::make_technology("65nm"));
   EXPECT_EQ(bc.name, name);
   EXPECT_GT(bc.netlist.num_design_components(), 5);
+}
+
+// The built-in circuits are the shipped files: each carries its file's
+// content fingerprint, so registering the file is a no-op (a name that is
+// already registered from different content throws).
+TEST(CircuitRegistry, BuiltinsAreTheShippedFiles) {
+  const std::vector<std::string> names = api::circuit_names();
+  ASSERT_GE(names.size(), 4u);
+  const char* files[] = {"two_tia", "two_volt", "three_tia", "ldo"};
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::string tag = api::circuit_source_tag(names[i]);
+    EXPECT_EQ(tag.rfind("gcir:", 0), 0u) << names[i];
+    EXPECT_EQ(api::register_circuit_file(shipped("/specs/circuits/") +
+                                         files[i] + ".gcir"),
+              names[i]);
+    EXPECT_EQ(api::circuit_source_tag(names[i]), tag);
+    EXPECT_EQ(api::circuit_names(), names);
+  }
 }
 
 TEST(CircuitRegistry, FileCircuitCollisionsFailLoudly) {
@@ -966,10 +1009,14 @@ TEST(CircuitRegistry, FileCircuitCollisionsFailLoudly) {
   char body[512];
   std::snprintf(body, sizeof(body), tiny_body_fmt, "1");
 
-  // A declared name owned by a C++ builder.
+  // A declared name owned by a C++ builder, or by a shipped circuit.
   const std::string clash = write_temp_gcir(
-      "gcnrl_clash.gcir", std::string("circuit Two-TIA\n") + body);
+      "gcnrl_clash.gcir", std::string("circuit Synthetic-API\n") + body);
   EXPECT_THROW(api::register_circuit_file(clash), std::invalid_argument);
+  const std::string shipped_clash = write_temp_gcir(
+      "gcnrl_shipped_clash.gcir", std::string("circuit Two-TIA\n") + body);
+  EXPECT_THROW(api::register_circuit_file(shipped_clash),
+               std::invalid_argument);
 
   // Same declared name, different content: also a collision.
   const std::string first = write_temp_gcir(
@@ -1011,7 +1058,7 @@ TEST(SpecParser, BindsCircuitFileAndResolvesRelativePaths) {
 // scalar indexing, and require thread-count invariance of every byte.
 TEST(RunTasks, FileCircuitTopologyTransferIsThreadInvariant) {
   api::TaskSpec pre;
-  pre.circuit_file = shipped("/specs/circuits/two_tia.gcir");
+  pre.circuit_file = two_tia_copy();
   pre.method = "GCN-RL";
   pre.steps = 5;
   pre.warmup = 2;
@@ -1027,7 +1074,7 @@ TEST(RunTasks, FileCircuitTopologyTransferIsThreadInvariant) {
   const auto pooled = api::run_tasks({pre, post}, tiny_options(4));
   ASSERT_EQ(serial.size(), 2u);
   // The declared name replaced the empty circuit tag during validation.
-  EXPECT_EQ(serial[0].spec.circuit, "Two-TIA-gcir");
+  EXPECT_EQ(serial[0].spec.circuit, "Two-TIA-copy");
   ASSERT_EQ(pooled.size(), 2u);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].best, pooled[i].best);
@@ -1040,8 +1087,8 @@ TEST(RunTasks, FileCircuitTopologyTransferIsThreadInvariant) {
 
 TEST(RunTasks, CircuitFileNameMismatchFailsLoudly) {
   api::TaskSpec t;
-  t.circuit = "Two-TIA";  // declared name is Two-TIA-gcir
-  t.circuit_file = shipped("/specs/circuits/two_tia.gcir");
+  t.circuit = "Two-TIA";  // declared name is Two-TIA-copy
+  t.circuit_file = two_tia_copy();
   t.method = "Human";
   t.steps = 1;
   EXPECT_THROW(api::run_tasks({t}, tiny_options()), std::invalid_argument);

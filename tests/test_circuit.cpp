@@ -435,6 +435,129 @@ TEST(Gcir, WholeFileInvariantsFailLoudly) {
                     "12:11", "earlier bench");
 }
 
+// --- measurement-plan forms --------------------------------------------------
+// Each form the plan grammar gained rejects malformed input at the
+// offending token (line 12 is the first line after kTinyGcir).
+
+TEST(Gcir, ParsesDerivedBenchesGuardsAndExpressions) {
+  const circuit::CircuitDescription d = circuit::parse_gcir(
+      std::string(kTinyGcir) +
+      "bench ol\n"
+      "add ol net x\n"
+      "set ol M1 g=x\n"
+      "add ol vsource VX x 0 dc=v(main,a) ac=1\n"
+      "ac ol 1k 1k 1\n"
+      "guard value=v(main,out) min=0.1 max=vdd message=\"out of range\"\n"
+      "extract pm phase_margin bench=ol probe=out scale=-RL.r/1k over=x\n"
+      "extract h dc_gain bench=ol probe=out temp\n"
+      "extract db expr=20*log10(max(abs(h),1n))+gain*0\n");
+  ASSERT_EQ(d.benches.size(), 2u);
+  const circuit::BenchDesc& ol = d.benches[1];
+  ASSERT_EQ(ol.adds.size(), 2u);
+  EXPECT_EQ(ol.adds[0].net, "x");
+  ASSERT_TRUE(ol.adds[1].source.has_value());
+  EXPECT_EQ(ol.adds[1].source->dc.refs().size(), 1u);
+  ASSERT_EQ(ol.gates.size(), 1u);
+  EXPECT_EQ(ol.gates[0].net, "x");
+  EXPECT_EQ(ol.ac->npoints, 1);
+  ASSERT_EQ(d.guards.size(), 1u);
+  EXPECT_EQ(d.guards[0].after, 2);
+  EXPECT_EQ(d.guards[0].message, "out of range");
+  ASSERT_EQ(d.extracts.size(), 4u);
+  EXPECT_EQ(d.extracts[1].fn, circuit::ExtractFn::PhaseMargin);
+  EXPECT_EQ(d.extracts[1].over_p, "x");
+  EXPECT_TRUE(d.extracts[2].temp);
+  EXPECT_EQ(d.extracts[3].fn, circuit::ExtractFn::Expression);
+  EXPECT_EQ(d.extracts[3].value->refs().size(), 2u);
+}
+
+TEST(Gcir, AddRejectsMalformedInput) {
+  expect_gcir_error(std::string(kTinyGcir) + "add main net out\n", "12:14",
+                    "duplicate net \"out\"");
+  expect_gcir_error(std::string(kTinyGcir) + "add main diode D1\n", "12:10",
+                    "expected net, vsource or isource");
+  expect_gcir_error(
+      std::string(kTinyGcir) + "add main vsource V2 nowhere 0 dc=1\n",
+      "12:21", "undeclared net \"nowhere\" in bench \"main\"");
+  expect_gcir_error(
+      std::string(kTinyGcir) + "add main vsource VIN a 0 dc=1\n", "12:18",
+      "duplicate element name \"VIN\"");
+  // A bench edit reads only benches that ran before it.
+  expect_gcir_error(
+      std::string(kTinyGcir) + "add main vsource V2 a 0 dc=v(main,a)\n",
+      "12:28", "not a bench that runs before this point");
+}
+
+TEST(Gcir, SetGateRejectsMalformedInput) {
+  expect_gcir_error(std::string(kTinyGcir) + "set main M1 d=out\n", "12:13",
+                    "a MOSFET takes only g=NET");
+  expect_gcir_error(std::string(kTinyGcir) + "set main M1 g=nowhere\n",
+                    "12:15", "undeclared net \"nowhere\"");
+  expect_gcir_error(std::string(kTinyGcir) + "set main RL g=out\n", "12:10",
+                    "unknown source or MOSFET \"RL\"");
+}
+
+TEST(Gcir, SpotAcNeedsOnePointAtLeast) {
+  expect_gcir_error(
+      std::string(kTinyGcir) + "bench spot\nac spot 1k 1k 0\n", "13:15",
+      "NPOINTS must be an integer in [1, 100000]");
+}
+
+TEST(Gcir, PhaseMarginRejectsMalformedInput) {
+  expect_gcir_error(std::string(kTinyGcir) +
+                        "extract pm phase_margin bench=main probe=out "
+                        "over=nowhere\n",
+                    "12:46", "over= names an undeclared net");
+  expect_gcir_error(std::string(kTinyGcir) +
+                        "extract pm phase_margin bench=main\n",
+                    "12:1", "needs probe=NODE[,NODE]");
+  expect_gcir_error(std::string(kTinyGcir) +
+                        "extract g2 dc_gain bench=main probe=out scale=2\n",
+                    "12:1", "scale= and over= belong to phase_margin");
+}
+
+TEST(Gcir, ExpressionsRejectMalformedInput) {
+  const auto expr_error = [](const std::string& expr, const std::string& pos,
+                             const std::string& fragment) {
+    expect_gcir_error(std::string(kTinyGcir) + "extract x expr=" + expr + "\n",
+                      pos, fragment);
+  };
+  expr_error("foo(1)", "12:16", "unknown function \"foo\"");
+  expr_error("max(1)", "12:21", "expected ','");
+  expr_error("abs(1,2)", "12:21", "expected ')'");
+  expr_error("log10(", "12:22", "unexpected end of expression");
+  expr_error("v(nob,out)", "12:16", "not a bench that runs before");
+  expr_error("v(main,nowhere)", "12:16", "v(): unknown net");
+  expr_error("i(main,RL)", "12:16", "is not a voltage source");
+  expr_error("M1.q", "12:20", "must be one of w, l, m, r, c");
+  expr_error("M1.r", "12:16", "\"r\" is not a parameter of nmos \"M1\"");
+  expr_error("later", "12:16", "unknown metric \"later\"");
+  expect_gcir_error(std::string(kTinyGcir) + "extract x expr=1 bogus=2\n",
+                    "12:18", "unknown key \"bogus\"");
+  expect_gcir_error(
+      std::string(kTinyGcir) +
+          "extract x dc_gain bench=main probe=out temp=1\n",
+      "12:40", "unknown key \"temp\"");
+  // Sizing expressions read technology symbols only.
+  expect_gcir_error(
+      std::string(kTinyGcir) + "nmos M2 out a 0 0 w=v(main,a) l=lmin m=1\n",
+      "12:21", "unknown function \"v\"");
+}
+
+TEST(Gcir, GuardRejectsMalformedInput) {
+  expect_gcir_error(std::string(kTinyGcir) + "guard value=1 min=0\n", "12:1",
+                    "guard: needs value=, min= and/or max=, and message=");
+  expect_gcir_error(
+      std::string(kTinyGcir) + "guard value=gain min=0 message=\"x\"\n",
+      "12:13", "only extract expressions read metrics");
+  expect_gcir_error(
+      std::string(kTinyGcir) + "guard value=1 min=0 message=\"oops\n",
+      "12:29", "unterminated quoted string");
+  expect_gcir_error(
+      std::string(kTinyGcir) + "guard value=1 min=0 level=2 message=\"x\"\n",
+      "12:21", "known: value, min, max, message");
+}
+
 // The whole-file semantic invariants (unproduced metrics, partial expert
 // sizing) moved from the parser to circuit::analyze_circuit; they now
 // parse fine and come back as positioned analyzer errors instead

@@ -169,9 +169,12 @@ TEST(SizingEnv, FlatViewMatchesMatrixView) {
   Rng rng(4);
   e.calibrate(50, rng);
   const la::Mat a = e.random_actions(rng);
+  // The black-box optimizers search the flattened view; unflattening it
+  // must evaluate the same design.
   const auto flat = e.bench().space.flatten(a);
+  ASSERT_EQ(static_cast<int>(flat.size()), e.flat_dim());
   const auto r1 = e.step(a);
-  const auto r2 = e.step_flat(flat);
+  const auto r2 = e.step(e.bench().space.unflatten(flat));
   EXPECT_DOUBLE_EQ(r1.fom, r2.fom);
 }
 

@@ -19,7 +19,7 @@
 #include <thread>
 #include <vector>
 
-#include "circuits/benchmark_circuits.hpp"
+#include "api/registry.hpp"
 #include "env/eval_service.hpp"
 #include "env/sizing_env.hpp"
 #include "opt/bayes_opt.hpp"
@@ -1178,9 +1178,9 @@ TEST(Lockstep, MixedMethodsMatchTheirSerialReferences) {
 
 TEST(EvalService, TwoTiaEightThreadsMatchesSerial) {
   const auto tech = circuit::make_technology("180nm");
-  env::SizingEnv serial(gcnrl::circuits::make_two_tia(tech),
+  env::SizingEnv serial(gcnrl::api::build_circuit("Two-TIA", tech),
                         env::IndexMode::OneHot, config(1, 0));
-  env::SizingEnv pool(gcnrl::circuits::make_two_tia(tech),
+  env::SizingEnv pool(gcnrl::api::build_circuit("Two-TIA", tech),
                       env::IndexMode::OneHot, config(8, 0));
   Rng rng(31);
   std::vector<la::Mat> batch;

@@ -6,8 +6,8 @@
 #include <cmath>
 #include <optional>
 
+#include "api/registry.hpp"
 #include "circuit/tech.hpp"
-#include "circuits/benchmark_circuits.hpp"
 #include "meas/ac_metrics.hpp"
 #include "sim/simulator.hpp"
 #include "sim/structure.hpp"
@@ -308,9 +308,9 @@ class SparseEngineScope {
 class SparseDenseParity : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SparseDenseParity, RandomDesignsMatchWithin1em12) {
-  namespace circuits = gcnrl::circuits;
+  namespace api = gcnrl::api;
   const auto bc =
-      circuits::make_benchmark(GetParam(), circuit::make_technology("180nm"));
+      api::build_circuit(GetParam(), circuit::make_technology("180nm"));
   Rng rng(20260808);
   // Trial 0 is the human-expert sizing and trials 1-2 perturb it — these
   // are guaranteed (or near-guaranteed) to simulate, so the parity check
@@ -368,7 +368,7 @@ TEST_P(SparseDenseParity, RandomDesignsMatchWithin1em12) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCircuits, SparseDenseParity,
-    ::testing::ValuesIn(gcnrl::circuits::benchmark_names()),
+    ::testing::ValuesIn(gcnrl::api::circuit_names()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& ch : name) {

@@ -12,11 +12,11 @@
 #include <utility>
 #include <vector>
 
+#include "api/registry.hpp"
 #include "circuit/analyze.hpp"
 #include "circuit/gcir.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/tech.hpp"
-#include "circuits/benchmark_circuits.hpp"
 #include "common/rng.hpp"
 #include "env/circuit_compile.hpp"
 #include "heap_counter.hpp"
@@ -422,7 +422,7 @@ la::CMat build_ac_matrix(const sim::SimContext& ctx, const sim::OpPoint& op,
 // ulp, hence the relative tolerance.
 TEST(Ac, SplitStampsMatchLegacyAssembly) {
   for (const char* name : {"Two-TIA", "Two-Volt", "Three-TIA", "LDO"}) {
-    auto bc = gcnrl::circuits::make_benchmark(name, kTech);
+    auto bc = gcnrl::api::build_circuit(name, kTech);
     circuit::Netlist nl = bc.netlist;
     bc.space.apply(nl, bc.human_expert);
     sim::Simulator s(nl, kTech);
@@ -452,7 +452,7 @@ TEST(Ac, SplitStampsMatchLegacyAssembly) {
 // solution as the cold ladder within solver tolerance.
 TEST(Dc, WarmStartFromConvergedOpSkipsTheLadder) {
   for (const char* name : {"Two-TIA", "Two-Volt", "Three-TIA", "LDO"}) {
-    auto bc = gcnrl::circuits::make_benchmark(name, kTech);
+    auto bc = gcnrl::api::build_circuit(name, kTech);
     circuit::Netlist nl = bc.netlist;
     bc.space.apply(nl, bc.human_expert);
     const sim::SimContext ctx(nl, kTech);
@@ -481,7 +481,7 @@ TEST(Dc, WarmStartFromConvergedOpSkipsTheLadder) {
 // from zeros either way, so the guess can cost iterations but never
 // change the result.
 TEST(Dc, WarmStartFallbackIsBitwiseIdenticalToCold) {
-  auto bc = gcnrl::circuits::make_two_tia(kTech);
+  auto bc = gcnrl::api::build_circuit("Two-TIA", kTech);
   circuit::Netlist nl = bc.netlist;
   bc.space.apply(nl, bc.human_expert);
   const sim::SimContext ctx(nl, kTech);
@@ -511,7 +511,7 @@ TEST(Dc, WarmStartFallbackIsBitwiseIdenticalToCold) {
 // op_at_time_zero() is memoized like op(): the second call must return
 // the same object without another DC solve.
 TEST(Dc, OpAtTimeZeroIsMemoized) {
-  auto bc = gcnrl::circuits::make_two_tia(kTech);
+  auto bc = gcnrl::api::build_circuit("Two-TIA", kTech);
   circuit::Netlist nl = bc.netlist;
   bc.space.apply(nl, bc.human_expert);
   sim::Simulator s(nl, kTech);
@@ -525,7 +525,7 @@ TEST(Dc, OpAtTimeZeroIsMemoized) {
 // The per-analysis perf registry attributes calls/items to the right
 // analysis and never charges wall time to analyses that did not run.
 TEST(Perf, RegistryAttributesPerAnalysis) {
-  auto bc = gcnrl::circuits::make_two_tia(kTech);
+  auto bc = gcnrl::api::build_circuit("Two-TIA", kTech);
   circuit::Netlist nl = bc.netlist;
   bc.space.apply(nl, bc.human_expert);
   sim::sim_perf_reset();
@@ -552,7 +552,7 @@ TEST(Perf, RegistryAttributesPerAnalysis) {
 // two engines: both converge to the same root, so the results differ
 // only at the level of floating-point solve ordering.
 TEST(Sparse, AllAnalysesAgreeWithDense) {
-  auto bc = gcnrl::circuits::make_two_tia(kTech);
+  auto bc = gcnrl::api::build_circuit("Two-TIA", kTech);
   circuit::Netlist nl = bc.netlist;
   bc.space.apply(nl, bc.human_expert);
   const auto freqs = sim::logspace(1e3, 1e10, 21);
@@ -700,7 +700,7 @@ TEST(Tran, SingularJacobianDiagnosticNamesStepAndIteration) {
 // Toggling the engine off forces the legacy dense path unconditionally:
 // no sparse fallbacks can be recorded while it is disabled.
 TEST(Sparse, DisabledEngineNeverRecordsFallbacks) {
-  auto bc = gcnrl::circuits::make_two_tia(kTech);
+  auto bc = gcnrl::api::build_circuit("Two-TIA", kTech);
   circuit::Netlist nl = bc.netlist;
   bc.space.apply(nl, bc.human_expert);
   SparseEngineGuard guard(false);
@@ -935,7 +935,7 @@ TEST(Tran, WaveformsMatchParentDigests) {
       0xc23d06fd1fa0a5fe, 0x94a5711416a6ca07, 0x49a2540c0e4e262b,
       0x9fb1fc81c7ce7045, 0x02ca2defc26a1045, 0x943b7273566e51ea,
       0xf6bec7f0626177e7, 0x19cd402ae1d7a59c};
-  const auto bc = gcnrl::circuits::make_ldo(kTech);
+  const auto bc = gcnrl::api::build_circuit("LDO", kTech);
   std::vector<circuit::DesignParams> designs{bc.human_expert};
   gcnrl::Rng rng(2020);
   while (static_cast<int>(designs.size()) < kDesigns) {
@@ -959,7 +959,7 @@ TEST(Tran, WaveformsMatchParentDigests) {
 // steps, not only replay them: at 400 steps every step past 200 is a
 // replay, so a per-iteration allocation would not show.
 TEST(Tran, AllocationsDoNotGrowWithSteps) {
-  const auto bc = gcnrl::circuits::make_ldo(kTech);
+  const auto bc = gcnrl::api::build_circuit("LDO", kTech);
   circuit::Netlist sized = bc.netlist;
   bc.space.apply(sized, bc.human_expert);
   const circuit::Netlist load = ldo_load_step_bench(sized);

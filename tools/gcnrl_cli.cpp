@@ -20,12 +20,6 @@
 //
 // Every per-seed report line is followed by the metrics of that seed's
 // best design. The paper's experiments ship as specs/paper/*.json.
-//
-// The binary also demonstrates the registry extension point: it registers
-// one extra circuit, "Demo-OTA" (a five-transistor OTA; a trimmed twin of
-// examples/custom_circuit.cpp), purely through the public
-// api::register_circuit surface — spec files can target it like any
-// built-in (see specs/custom.json).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -35,83 +29,11 @@
 
 #include "api/api.hpp"
 #include "circuit/tech.hpp"
-#include "circuits/helpers.hpp"
 #include "common/table.hpp"
-#include "meas/ac_metrics.hpp"
-#include "sim/simulator.hpp"
 
 using namespace gcnrl;
 
 namespace {
-
-// --- Demo-OTA: user-circuit registration demo -----------------------------
-
-env::BenchmarkCircuit make_demo_ota(const circuit::Technology& tech) {
-  env::BenchmarkCircuit bc;
-  bc.name = "Demo-OTA";
-  bc.tech = tech;
-
-  auto& nl = bc.netlist;
-  const int vdd = nl.node("vdd");
-  nl.mark_supply("vdd");
-  const int inp = nl.node("inp");
-  const int inn = nl.node("inn");
-  const int d1 = nl.node("d1");
-  const int out = nl.node("out");
-  const int tail = nl.node("tail");
-  const int vbn = nl.node("vbn");
-
-  nl.add_vsource("VDD", vdd, 0, tech.vdd);
-  nl.add_vsource("VIP", inp, 0, tech.vdd * 0.55, +0.5);
-  nl.add_vsource("VIN", inn, 0, tech.vdd * 0.55, -0.5);
-  nl.add_isource("IB", vdd, vbn, 25e-6);
-
-  const double l = tech.lmin;
-  nl.add_nmos("M1", d1, inp, tail, 0, 20e-6, 2 * l, 1);   // pair
-  nl.add_nmos("M2", out, inn, tail, 0, 20e-6, 2 * l, 1);  // pair
-  nl.add_pmos("M3", d1, d1, vdd, vdd, 10e-6, 2 * l, 1);   // mirror diode
-  nl.add_pmos("M4", out, d1, vdd, vdd, 10e-6, 2 * l, 1);  // mirror out
-  nl.add_nmos("M5", tail, vbn, 0, 0, 10e-6, 2 * l, 2);    // tail
-  nl.add_nmos("MB", vbn, vbn, 0, 0, 10e-6, 2 * l, 1,
-              /*designable=*/false);  // bias diode kept fixed
-  nl.add_capacitor("CL", out, 0, 1e-12, /*designable=*/false);
-
-  bc.space = circuit::DesignSpace::from_netlist(nl, tech);
-  bc.space.add_match_group(nl, {"M1", "M2"});
-  bc.space.add_match_group(nl, {"M3", "M4"});
-
-  env::FomSpec fom;
-  fom.metrics = {
-      {"gain", "V/V", +1.0, {}, 10.0, {}, true},
-      {"gbw", "Hz", +1.0, {}, {}, {}, true},
-      {"power", "W", -1.0, {}, {}, {}, true},
-  };
-  bc.fom = fom;
-
-  // Concurrency contract of BenchmarkCircuit::evaluate: by-value captures
-  // only, Simulators local to the call.
-  const auto tech_copy = tech;
-  const int out_node = out;
-  bc.evaluate = [out_node, tech_copy](const circuit::Netlist& sized) {
-    sim::Simulator s(sized, tech_copy);
-    env::MetricMap m;
-    m["power"] = s.supply_power();
-    const auto ac = s.ac(sim::logspace(1e2, 1e10, 81));
-    const auto h = circuits::detail::curve_at(ac, out_node);
-    m["gain"] = meas::dc_gain(h);
-    m["gbw"] = meas::gbw(h);
-    return m;
-  };
-
-  bc.human_expert.v = {{20e-6, 2 * l, 1}, {20e-6, 2 * l, 1},
-                       {10e-6, 2 * l, 1}, {10e-6, 2 * l, 1},
-                       {10e-6, 2 * l, 2}};
-  return bc;
-}
-
-// Registered before main() — the spec file addresses "Demo-OTA" exactly
-// like a built-in.
-const api::CircuitRegistrar demo_ota_registrar{"Demo-OTA", make_demo_ota};
 
 // --- reporting ------------------------------------------------------------
 
