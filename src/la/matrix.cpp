@@ -71,9 +71,9 @@ void matmul_row_baseline(const double* a, std::size_t a_stride, int k_dim,
 }
 
 #ifdef GCNRL_LA_AVX2_ROW_KERNEL
-// The only function in the library built for an instruction set above the
-// target's baseline. target("avx2") enables no FMA, so this copy rounds as
-// the baseline one does.
+// With the Cholesky copies in la/cholesky.cpp, the only code in the library
+// built for an instruction set above the target's baseline. target("avx2")
+// enables no FMA, so this copy rounds as the baseline one does.
 [[gnu::target("avx2")]] void matmul_row_avx2(const double* a,
                                              std::size_t a_stride, int k_dim,
                                              const Mat& b, double* ci,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace gcnrl::opt {
 
@@ -111,8 +113,21 @@ std::vector<int> gp_training_subset(const std::vector<double>& ys,
   return keep;
 }
 
+void check_tell_batch(const std::vector<std::vector<double>>& xs,
+                      const std::vector<double>& ys, int dim,
+                      const char* who) {
+  const bool ragged =
+      std::any_of(xs.begin(), xs.end(), [dim](const std::vector<double>& x) {
+        return x.size() != static_cast<std::size_t>(dim);
+      });
+  if (xs.size() != ys.size() || ragged) {
+    throw std::invalid_argument(std::string(who) + ": inconsistent batch");
+  }
+}
+
 void BayesOpt::tell(const std::vector<std::vector<double>>& xs,
                     const std::vector<double>& ys) {
+  check_tell_batch(xs, ys, dim_, "BayesOpt::tell");
   for (std::size_t i = 0; i < xs.size(); ++i) {
     xs_.push_back(xs[i]);
     ys_.push_back(ys[i]);

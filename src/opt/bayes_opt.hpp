@@ -69,4 +69,12 @@ double norm_cdf(double z);
 std::vector<int> gp_training_subset(const std::vector<double>& ys,
                                     int max_points);
 
+// Throws std::invalid_argument, naming `who`, unless ys holds one value per
+// point of xs and every point has dim coordinates. BayesOpt::tell and
+// Mace::tell check each batch with it before storing any of it: ask() and
+// the GP fit read every stored point at dim coordinates.
+void check_tell_batch(const std::vector<std::vector<double>>& xs,
+                      const std::vector<double>& ys, int dim,
+                      const char* who);
+
 }  // namespace gcnrl::opt

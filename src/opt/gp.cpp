@@ -57,6 +57,12 @@ void GaussianProcess::fit(const std::vector<std::vector<double>>& x,
   if (x.size() != y.size() || x.empty()) {
     throw std::invalid_argument("GaussianProcess::fit: bad data");
   }
+  for (const std::vector<double>& p : x) {
+    if (p.size() != x.front().size()) {
+      throw std::invalid_argument(
+          "GaussianProcess::fit: points differ in dimension");
+    }
+  }
   fitted_ = false;
   x_ = x;
   // Standardize targets.

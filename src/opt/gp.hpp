@@ -12,21 +12,24 @@
 // triangle once per grid lengthscale (5, kept in the factor's storage
 // while the grid runs) and factors a packed copy of it per grid point
 // (15); the winner's kernel is then recomputed and factored in place (the
-// 6th kernel triangle). Prediction scores candidates in blocks of kBlock:
-// the block is transposed so the squared distances vectorize across
-// candidates, then one blocked forward substitution serves the whole
-// block. Every double comes from the same operations in the same order as
-// the textbook per-point formulas, so results do not depend on the
-// blocking.
+// 6th kernel triangle). The 16 factorizations are the fit's O(n^3) cost;
+// la::cholesky_factor builds each in 4-row panels whose vector lanes are
+// the panel's rows, on the AVX2 copy of its kernels where the CPU has
+// AVX2. Prediction scores candidates in blocks of kBlock: the block is
+// transposed so the squared distances vectorize across candidates, then
+// one forward substitution, blocked across the block's columns, serves
+// the whole block. Every double comes from the same operations in
+// the same order as the textbook per-point formulas, so results depend
+// neither on the blocking nor on the copy.
 //
 // Memory. The fit's scratch (the distances and one work triangle) and the
 // prediction's (the transposed block and its kernel block) are allocated
 // at exact size on each call and freed when it returns, so a fit on n
-// points peaks at three packed triangles, 1.5 n^2 doubles. BO/MACE seeds
-// fit and predict concurrently on the eval pool
-// (rl::run_optimizer_lockstep), so scratch kept in the object, or
-// thread-local, would stay resident once per seed or per worker, and
-// growth by doubling would pad it further.
+// points peaks at three packed triangles, 1.5 n^2 doubles, plus the
+// factorization's panel buffer of 4(n+3) doubles. BO/MACE seeds fit and
+// predict concurrently on the eval pool (rl::run_optimizer_lockstep), so
+// scratch kept in the object, or thread-local, would stay resident once
+// per seed or per worker, and growth by doubling would pad it further.
 #pragma once
 
 #include <cstddef>

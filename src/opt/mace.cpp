@@ -98,6 +98,7 @@ std::vector<std::vector<double>> Mace::ask() {
 
 void Mace::tell(const std::vector<std::vector<double>>& xs,
                 const std::vector<double>& ys) {
+  check_tell_batch(xs, ys, dim_, "Mace::tell");
   for (std::size_t i = 0; i < xs.size(); ++i) {
     xs_.push_back(xs[i]);
     ys_.push_back(ys[i]);

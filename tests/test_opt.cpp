@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "la/cholesky.hpp"
@@ -125,6 +126,18 @@ TEST(Gp, InterpolatesTrainingData) {
     const auto p = gp.predict(x[i]);
     EXPECT_NEAR(p.mean, y[i], 0.15);
   }
+}
+
+// Points of different sizes would send the distance loops past the end of
+// the shorter one; the fit refuses them and keeps the previous fit.
+TEST(Gp, FitRejectsPointsOfDifferentDimension) {
+  opt::GaussianProcess gp;
+  gp.fit({{0.0, 0.0}, {0.5, 0.5}}, {1.0, 2.0});
+  const opt::GpPrediction before = gp.predict({0.25, 0.25});
+  EXPECT_THROW(gp.fit({{0.0, 0.0}, {0.5}}, {1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW(gp.fit({{0.0}, {0.5, 0.5}}, {1.0, 2.0}), std::invalid_argument);
+  ASSERT_TRUE(gp.fitted());
+  EXPECT_EQ(gp.predict({0.25, 0.25}).mean, before.mean);
 }
 
 TEST(Gp, UncertaintyGrowsAwayFromData) {
@@ -347,51 +360,119 @@ std::vector<std::vector<double>> random_points(int n, int dim, Rng& rng) {
   return x;
 }
 
-}  // namespace
+// G G^T + 0.1 I for a random G: symmetric positive definite.
+la::Mat random_spd(int n, Rng& rng) {
+  la::Mat g(n, n);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) g(i, j) = rng.uniform(-1.0, 1.0);
+  }
+  la::Mat gt(n, n), a(n, n);
+  la::transpose(g, gt);
+  la::matmul(g, gt, a);
+  for (int i = 0; i < n; ++i) a(i, i) += 0.1;
+  return a;
+}
 
-// The packed factor must equal the row-by-row one bit for bit on every
-// order whose rows end in each remainder of the 4-wide pass, and the
-// solves and log-determinant built on it must follow.
-TEST(GpReference, PackedCholeskyMatchesRowByRowBitwise) {
+// Index of the first element whose bits differ, or -1.
+long first_bit_mismatch(const std::vector<double>& got,
+                        const std::vector<double>& want) {
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (bits(got[i]) != bits(want[i])) return static_cast<long>(i);
+  }
+  return -1;
+}
+
+// Every order from 1 to 40 (each remainder of the 4-row panel, up to ten
+// panels deep), 130 and 401 (GaussianProcess's 400-point cap, plus the
+// newest point): the factor, the solve, the log-determinant and forward
+// substitution at several widths against the row-by-row reference; then
+// indefinite matrices whose first failing pivot is in row 0, 5, 9 or 130
+// (the first row of a panel, or a later lane).
+void expect_cholesky_matches_row_by_row(
+    const std::string& copy, const la::detail::CholeskyKernels& chol) {
+  std::vector<int> orders;
+  for (int n = 1; n <= 40; ++n) orders.push_back(n);
+  orders.push_back(130);
+  orders.push_back(401);
   Rng rng(41);
-  for (int n = 1; n <= 13; ++n) {
-    la::Mat g(n, n);
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) g(i, j) = rng.uniform(-1.0, 1.0);
-    }
-    la::Mat gt(n, n), a(n, n);
-    la::transpose(g, gt);
-    la::matmul(g, gt, a);
-    for (int i = 0; i < n; ++i) a(i, i) += 0.1;
-    std::vector<double> packed = packed_lower(a);
+  for (const int n : orders) {
+    const la::Mat a = random_spd(n, rng);
     const DenseCholesky ref(a);
-    la::cholesky_factor(packed, n);
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j <= i; ++j) {
-        EXPECT_EQ(bits(packed[la::packed_index(i, j)]),
-                  bits(ref.lower()(i, j)))
-            << "n " << n << " L(" << i << ", " << j << ")";
-      }
-    }
+    std::vector<double> packed = packed_lower(a);
+    chol.factor(packed, n);
+    const long bad_l = first_bit_mismatch(packed, packed_lower(ref.lower()));
+    EXPECT_EQ(bad_l, -1) << copy << ": n " << n << " packed L[" << bad_l << "]";
+
     std::vector<double> b(n);
     for (auto& v : b) v = rng.uniform(-1.0, 1.0);
     const std::vector<double> want = ref.solve(b);
-    la::cholesky_solve(packed, b);
-    for (int i = 0; i < n; ++i) {
-      EXPECT_EQ(bits(b[i]), bits(want[i])) << "n " << n << " x[" << i << "]";
-    }
+    chol.solve(packed, b);
+    const long bad_x = first_bit_mismatch(b, want);
+    EXPECT_EQ(bad_x, -1) << copy << ": n " << n << " x[" << bad_x << "]";
     EXPECT_EQ(bits(la::cholesky_log_det(packed, n)), bits(ref.log_det()))
-        << "n " << n;
+        << copy << ": n " << n;
+
+    for (const int width : {1, 2, 3, 32, 33}) {
+      const auto w = static_cast<std::size_t>(width);
+      std::vector<double> rhs(static_cast<std::size_t>(n) * w);
+      for (auto& v : rhs) v = rng.uniform(-1.0, 1.0);
+      std::vector<double> want_y(rhs.size());
+      for (std::size_t c = 0; c < w; ++c) {
+        std::vector<double> column(static_cast<std::size_t>(n));
+        for (int i = 0; i < n; ++i) column[i] = rhs[i * w + c];
+        const std::vector<double> y = ref.solve_lower(column);
+        for (int i = 0; i < n; ++i) want_y[i * w + c] = y[i];
+      }
+      chol.solve_lower(packed, rhs, width);
+      const long bad_y = first_bit_mismatch(rhs, want_y);
+      EXPECT_EQ(bad_y, -1) << copy << ": n " << n << " width " << width
+                           << " Y[" << bad_y << "]";
+    }
   }
-  // Indefinite: a 7x7 identity with a 2x2 block of eigenvalues 3 and -1
-  // in rows 5-6, past the first 4-wide pass.
+
+  struct Indefinite {
+    int n, row;
+  };
+  for (const Indefinite c : {Indefinite{3, 0}, Indefinite{7, 5},
+                             Indefinite{12, 9}, Indefinite{133, 130}}) {
+    // The leading rows stay positive definite; the pivot of `row` is
+    // -1 - |L(row, :row)|^2.
+    la::Mat a = random_spd(c.n, rng);
+    a(c.row, c.row) = -1.0;
+    std::vector<double> packed = packed_lower(a);
+    EXPECT_THROW(DenseCholesky{a}, la::NotPositiveDefiniteError)
+        << "n " << c.n << " row " << c.row;
+    EXPECT_THROW(chol.factor(packed, c.n), la::NotPositiveDefiniteError)
+        << copy << ": n " << c.n << " row " << c.row;
+  }
+  // A 7x7 identity with a 2x2 block of eigenvalues 3 and -1 in rows 5-6:
+  // the last lanes of a partial panel.
   la::Mat bad = la::Mat::identity(7);
   bad(5, 5) = 1.0;
   bad(6, 6) = 1.0;
   bad(5, 6) = bad(6, 5) = 2.0;
   std::vector<double> packed = packed_lower(bad);
   EXPECT_THROW(DenseCholesky{bad}, la::NotPositiveDefiniteError);
-  EXPECT_THROW(la::cholesky_factor(packed, 7), la::NotPositiveDefiniteError);
+  EXPECT_THROW(chol.factor(packed, 7), la::NotPositiveDefiniteError) << copy;
+}
+
+}  // namespace
+
+// The packed factor, built in 4-row panels, must equal the row-by-row one
+// bit for bit, and the solves and log-determinant built on it must
+// follow: through the dispatched functions and through each copy of the
+// kernels (la::detail::cholesky_baseline, cholesky_avx2).
+TEST(GpReference, PackedCholeskyMatchesRowByRowBitwise) {
+  expect_cholesky_matches_row_by_row(
+      "dispatched",
+      {la::cholesky_factor, la::cholesky_solve_lower, la::cholesky_solve});
+  expect_cholesky_matches_row_by_row("baseline", la::detail::cholesky_baseline);
+#ifdef GCNRL_LA_AVX2_ROW_KERNEL
+  if (!la::detail::cpu_has_avx2()) {
+    GTEST_SKIP() << "AVX2 Cholesky leg skipped: this CPU has no AVX2";
+  }
+  expect_cholesky_matches_row_by_row("avx2", la::detail::cholesky_avx2);
+#endif
 }
 
 // The packed GP (distances once, kernel once per lengthscale, block
@@ -509,6 +590,41 @@ TEST(BayesOpt, ExpectedImprovementNonNegative) {
                   {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)}),
               0.0);
   }
+}
+
+// A batch with fewer values than points, or with a point of the wrong
+// dimension, is refused before any of it is stored: the optimizer then
+// proposes exactly what an identically seeded twin that never saw it does.
+TEST(BayesOpt, TellRejectsInconsistentBatches) {
+  opt::BayesOptOptions bopt;
+  bopt.initial_random = 3;
+  opt::BayesOpt bo(2, Rng(10), bopt);
+  opt::BayesOpt twin(2, Rng(10), bopt);
+  EXPECT_THROW(bo.tell({{0.0, 0.0}, {0.5, 0.5}}, {0.1}), std::invalid_argument);
+  EXPECT_THROW(bo.tell({{0.0, 0.0}, {0.5}}, {0.1, 0.2}), std::invalid_argument);
+  EXPECT_THROW(bo.tell({{0.0, 0.0, 0.0}}, {0.1}), std::invalid_argument);
+  const std::vector<std::vector<double>> xs = {
+      {0.0, 0.0}, {0.5, 0.5}, {-0.5, 0.2}};
+  bo.tell(xs, {0.1, 0.3, -0.2});
+  twin.tell(xs, {0.1, 0.3, -0.2});
+  EXPECT_EQ(bo.ask(), twin.ask());
+}
+
+TEST(Mace, TellRejectsInconsistentBatches) {
+  opt::MaceOptions mopt;
+  mopt.initial_random = 3;
+  opt::Mace mace(2, Rng(12), mopt);
+  opt::Mace twin(2, Rng(12), mopt);
+  EXPECT_THROW(mace.tell({{0.0, 0.0}, {0.5, 0.5}}, {0.1}),
+               std::invalid_argument);
+  EXPECT_THROW(mace.tell({{0.0, 0.0}, {0.5}}, {0.1, 0.2}),
+               std::invalid_argument);
+  EXPECT_THROW(mace.tell({{0.0, 0.0, 0.0}}, {0.1}), std::invalid_argument);
+  const std::vector<std::vector<double>> xs = {
+      {0.0, 0.0}, {0.5, 0.5}, {-0.5, 0.2}};
+  mace.tell(xs, {0.1, 0.3, -0.2});
+  twin.tell(xs, {0.1, 0.3, -0.2});
+  EXPECT_EQ(mace.ask(), twin.ask());
 }
 
 TEST(Mace, ProposesRequestedBatch) {

@@ -54,8 +54,14 @@ src/rl/run_loop.cpp
 #   -ffp-contract=off, so it performs the baseline copy's multiplies and
 #   adds in the same order; test_la's Matrix.BlockedKernelsMatchIkjLoopBitwise
 #   holds both copies to the i-k-j loop bit for bit.
+# - src/la/cholesky.cpp: the AVX2 copies of the GP's packed Cholesky
+#   factorization and substitutions. Same argument: no FMA, no
+#   contraction, each element's products subtracted in ascending column
+#   order; test_opt's GpReference.PackedCholeskyMatchesRowByRowBitwise holds
+#   the baseline and AVX2 copies to the row-by-row reference bit for bit.
 ISA_ALLOW="
 src/la/matrix.cpp
+src/la/cholesky.cpp
 "
 
 grep_src() {
