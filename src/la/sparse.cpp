@@ -8,18 +8,6 @@ namespace gcnrl::la {
 
 namespace {
 
-// conj(v) when requested and T is complex; identity otherwise. Kept a free
-// function (not a lambda) so the real instantiation has no unused capture.
-template <typename T>
-inline T conj_if(const T& v, bool conjugate) {
-  if constexpr (std::is_same_v<T, std::complex<double>>) {
-    return conjugate ? std::conj(v) : v;
-  } else {
-    (void)conjugate;
-    return v;
-  }
-}
-
 // Lane-wide kernels for the blocked sweep, one call per factor/solve
 // entry. Kept as standalone functions over restrict-qualified pointers:
 // written inline inside the loop nests, GCC complete-unrolls the
@@ -95,30 +83,6 @@ inline void lanes_pivdiv(double* __restrict wr, double* __restrict wi,
 }
 
 }  // namespace
-
-int SparsePattern::slot(int r, int c) const {
-  for (int e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
-    if (col_idx[e] == c) return e;
-  }
-  return -1;
-}
-
-SparsePattern SparsePattern::from_coords(
-    int n, std::vector<std::pair<int, int>> coords) {
-  std::sort(coords.begin(), coords.end());
-  coords.erase(std::unique(coords.begin(), coords.end()), coords.end());
-  SparsePattern p;
-  p.n = n;
-  p.row_ptr.assign(static_cast<size_t>(n) + 1, 0);
-  p.col_idx.reserve(coords.size());
-  for (const auto& [r, c] : coords) {
-    assert(r >= 0 && r < n && c >= 0 && c < n);
-    ++p.row_ptr[static_cast<size_t>(r) + 1];
-    p.col_idx.push_back(c);
-  }
-  for (int i = 0; i < n; ++i) p.row_ptr[i + 1] += p.row_ptr[i];
-  return p;
-}
 
 template <typename T>
 SparseLu<T>::SparseLu(const SparsePattern& pattern)
@@ -409,29 +373,6 @@ void SparseLu<T>::solve_into(const T* b, T* x) const {
       wk_[upos_[e]] -= uval_[e] * xj;
     }
   }
-}
-
-template <typename T>
-void SparseLu<T>::solve_transposed_into(const T* b, T* x,
-                                        bool conjugate) const {
-  assert(numeric_ok_);
-  // A^T = U^T L^T P: solve U^T z = b (forward — U columns are lower rows
-  // of U^T), then L^T w = z (backward), then x = P^T w.
-  for (int j = 0; j < n_; ++j) {
-    T acc = b[j];
-    for (int e = uptr_[j]; e < uptr_[j + 1]; ++e) {
-      acc -= conj_if(uval_[e], conjugate) * wk_[upos_[e]];
-    }
-    wk_[j] = acc / conj_if(udiag_[j], conjugate);
-  }
-  for (int k = n_ - 1; k >= 0; --k) {
-    T acc = wk_[k];
-    for (int e = lptr_[k]; e < lptr_[k + 1]; ++e) {
-      acc -= conj_if(lval_[e], conjugate) * wk_[lpos_[e]];
-    }
-    wk_[k] = acc;
-  }
-  for (int k = 0; k < n_; ++k) x[perm_r_[k]] = wk_[k];
 }
 
 template class SparseLu<double>;

@@ -6,8 +6,9 @@
 // This module splits the work accordingly:
 //
 //  * SparsePattern — an immutable CSR pattern computed once per topology.
-//    All assembly happens into a flat value array aligned with it, so the
-//    per-solve cost has no dense zero-fill and no coordinate lookups.
+//    The simulator's stamp walks write a flat value array aligned with it
+//    through each walk's slot list, recorded once per topology
+//    (sim/structure.hpp), so the per-solve cost has no dense zero-fill.
 //  * SparseLu<T> — left-looking (Gilbert-Peierls) LU over the pattern.
 //    The first factor() chooses a pivot order (threshold partial pivoting
 //    with a diagonal preference, which keeps fill low on the structurally
@@ -33,7 +34,6 @@
 #include <cmath>
 #include <complex>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace gcnrl::la {
@@ -53,12 +53,6 @@ struct SparsePattern {
   std::vector<int> col_idx;  // size nnz
 
   [[nodiscard]] int nnz() const { return static_cast<int>(col_idx.size()); }
-  // Value-array slot of entry (r, c); -1 when (r, c) is not in the pattern.
-  [[nodiscard]] int slot(int r, int c) const;
-
-  // Builds a pattern from a coordinate list (duplicates collapse).
-  static SparsePattern from_coords(int n,
-                                   std::vector<std::pair<int, int>> coords);
 };
 
 template <typename T>
@@ -93,10 +87,9 @@ class SparseLu {
     numeric_ok_ = false;
   }
 
-  // Solve A x = b / A^T x = b (A^H with conjugate=true, complex only).
-  // b and x must not alias; both have size n. No heap allocation.
+  // Solve A x = b. b and x must not alias; both have size n. No heap
+  // allocation.
   void solve_into(const T* b, T* x) const;
-  void solve_transposed_into(const T* b, T* x, bool conjugate = false) const;
 
   [[nodiscard]] int size() const { return n_; }
   [[nodiscard]] bool factored() const { return numeric_ok_; }

@@ -18,26 +18,25 @@ BayesOpt::BayesOpt(int dim, Rng rng, BayesOptOptions opt)
     : dim_(dim), rng_(rng), opt_(opt) {}
 
 double BayesOpt::expected_improvement(const std::vector<double>& x) const {
-  return improvement(gp_.predict(x));
+  return improvement(model_.gp.predict(x));
 }
 
 double BayesOpt::improvement(const GpPrediction& p) const {
   const double sd = std::sqrt(p.variance);
   if (sd < 1e-12) return 0.0;
-  const double z = (p.mean - best_y_ - opt_.xi) / sd;
-  return (p.mean - best_y_ - opt_.xi) * norm_cdf(z) + sd * norm_pdf(z);
+  const double z = (p.mean - model_.best_y - opt_.xi) / sd;
+  return (p.mean - model_.best_y - opt_.xi) * norm_cdf(z) + sd * norm_pdf(z);
 }
 
 std::vector<std::vector<double>> BayesOpt::ask() {
-  if (static_cast<int>(xs_.size()) < opt_.initial_random) {
+  if (static_cast<int>(model_.xs.size()) < opt_.initial_random) {
     std::vector<double> x(dim_);
     for (auto& v : x) v = rng_.uniform(-1.0, 1.0);
     return {x};
   }
 
   // Random multi-start acquisition maximization.
-  const auto& best = xs_[std::distance(
-      ys_.begin(), std::max_element(ys_.begin(), ys_.end()))];
+  const auto& best = model_.best_x();
   std::vector<std::vector<double>> cands(opt_.acq_samples,
                                          std::vector<double>(dim_));
   for (auto& x : cands) {
@@ -52,7 +51,7 @@ std::vector<std::vector<double>> BayesOpt::ask() {
     }
   }
   std::vector<GpPrediction> preds(cands.size());
-  gp_.predict_block(cands, preds);
+  model_.gp.predict_block(cands, preds);
   std::vector<double> acq(cands.size());
   for (std::size_t i = 0; i < cands.size(); ++i) {
     acq[i] = improvement(preds[i]);
@@ -113,40 +112,46 @@ std::vector<int> gp_training_subset(const std::vector<double>& ys,
   return keep;
 }
 
-void check_tell_batch(const std::vector<std::vector<double>>& xs,
-                      const std::vector<double>& ys, int dim,
-                      const char* who) {
-  const bool ragged =
-      std::any_of(xs.begin(), xs.end(), [dim](const std::vector<double>& x) {
+void GpSurrogate::tell(const std::vector<std::vector<double>>& batch_xs,
+                       const std::vector<double>& batch_ys, int dim,
+                       int initial_random, int max_gp_points,
+                       const char* who) {
+  const bool ragged = std::any_of(
+      batch_xs.begin(), batch_xs.end(), [dim](const std::vector<double>& x) {
         return x.size() != static_cast<std::size_t>(dim);
       });
-  if (xs.size() != ys.size() || ragged) {
+  if (batch_xs.size() != batch_ys.size() || ragged) {
     throw std::invalid_argument(std::string(who) + ": inconsistent batch");
   }
-}
-
-void BayesOpt::tell(const std::vector<std::vector<double>>& xs,
-                    const std::vector<double>& ys) {
-  check_tell_batch(xs, ys, dim_, "BayesOpt::tell");
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    xs_.push_back(xs[i]);
-    ys_.push_back(ys[i]);
-    best_y_ = std::max(best_y_, ys[i]);
+  for (std::size_t i = 0; i < batch_xs.size(); ++i) {
+    xs.push_back(batch_xs[i]);
+    ys.push_back(batch_ys[i]);
+    best_y = std::max(best_y, batch_ys[i]);
   }
-  if (static_cast<int>(xs_.size()) < opt_.initial_random) return;
+  if (static_cast<int>(xs.size()) < initial_random) return;
 
   // Cap the GP training set: the best (max_gp_points - 1) by objective
   // plus the newest point, which always enters (see gp_training_subset).
-  const std::vector<int> keep = gp_training_subset(ys_, opt_.max_gp_points);
+  const std::vector<int> keep = gp_training_subset(ys, max_gp_points);
   std::vector<std::vector<double>> x_fit;
   std::vector<double> y_fit;
   x_fit.reserve(keep.size());
   y_fit.reserve(keep.size());
   for (const int idx : keep) {
-    x_fit.push_back(xs_[static_cast<std::size_t>(idx)]);
-    y_fit.push_back(ys_[static_cast<std::size_t>(idx)]);
+    x_fit.push_back(xs[static_cast<std::size_t>(idx)]);
+    y_fit.push_back(ys[static_cast<std::size_t>(idx)]);
   }
-  gp_.fit(x_fit, y_fit);
+  gp.fit(x_fit, y_fit);
+}
+
+const std::vector<double>& GpSurrogate::best_x() const {
+  return xs[std::distance(ys.begin(), std::max_element(ys.begin(), ys.end()))];
+}
+
+void BayesOpt::tell(const std::vector<std::vector<double>>& xs,
+                    const std::vector<double>& ys) {
+  model_.tell(xs, ys, dim_, opt_.initial_random, opt_.max_gp_points,
+              "BayesOpt::tell");
 }
 
 }  // namespace gcnrl::opt

@@ -32,6 +32,26 @@ struct BayesOptOptions {
   int max_gp_points = 400;     // cap the GP training set (best-N retained)
 };
 
+// What BayesOpt and Mace keep between steps, and the tell() both run.
+struct GpSurrogate {
+  GaussianProcess gp;
+  std::vector<std::vector<double>> xs;  // every point told so far
+  std::vector<double> ys;
+  double best_y = -1e300;
+
+  // Throws std::invalid_argument, naming `who`, unless batch_ys holds one
+  // value per point of batch_xs and every point has dim coordinates;
+  // nothing of a refused batch is stored (ask() and the GP fit read every
+  // stored point at dim coordinates). Otherwise appends the batch, raises
+  // best_y and, once initial_random points are stored, refits gp on
+  // gp_training_subset(ys, max_gp_points).
+  void tell(const std::vector<std::vector<double>>& batch_xs,
+            const std::vector<double>& batch_ys, int dim, int initial_random,
+            int max_gp_points, const char* who);
+  // The stored point with the highest objective (the first of ties).
+  [[nodiscard]] const std::vector<double>& best_x() const;
+};
+
 class BayesOpt : public Optimizer {
  public:
   BayesOpt(int dim, Rng rng, BayesOptOptions opt = {});
@@ -50,10 +70,7 @@ class BayesOpt : public Optimizer {
   int dim_;
   Rng rng_;
   BayesOptOptions opt_;
-  GaussianProcess gp_;
-  std::vector<std::vector<double>> xs_;
-  std::vector<double> ys_;
-  double best_y_ = -1e300;
+  GpSurrogate model_;
 };
 
 // Standard-normal pdf/cdf used by EI/PI acquisitions.
@@ -68,13 +85,5 @@ double norm_cdf(double z);
 // makes the acquisition re-propose it.
 std::vector<int> gp_training_subset(const std::vector<double>& ys,
                                     int max_points);
-
-// Throws std::invalid_argument, naming `who`, unless ys holds one value per
-// point of xs and every point has dim coordinates. BayesOpt::tell and
-// Mace::tell check each batch with it before storing any of it: ask() and
-// the GP fit read every stored point at dim coordinates.
-void check_tell_batch(const std::vector<std::vector<double>>& xs,
-                      const std::vector<double>& ys, int dim,
-                      const char* who);
 
 }  // namespace gcnrl::opt

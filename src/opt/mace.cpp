@@ -10,7 +10,7 @@ Mace::Mace(int dim, Rng rng, MaceOptions opt)
     : dim_(dim), rng_(rng), opt_(opt) {}
 
 std::vector<std::vector<double>> Mace::ask() {
-  if (static_cast<int>(xs_.size()) < opt_.initial_random) {
+  if (static_cast<int>(model_.xs.size()) < opt_.initial_random) {
     std::vector<std::vector<double>> out(
         std::min(opt_.batch, opt_.initial_random),
         std::vector<double>(dim_));
@@ -23,8 +23,7 @@ std::vector<std::vector<double>> Mace::ask() {
   // Candidate pool: half global, half local around the incumbent.
   std::vector<std::vector<double>> pool(opt_.pool,
                                         std::vector<double>(dim_));
-  const auto& best = xs_[std::distance(
-      ys_.begin(), std::max_element(ys_.begin(), ys_.end()))];
+  const auto& best = model_.best_x();
   for (std::size_t k = 0; k < pool.size(); ++k) {
     if (k % 2 == 0) {
       for (auto& v : pool[k]) v = rng_.uniform(-1.0, 1.0);
@@ -41,7 +40,7 @@ std::vector<std::vector<double>> Mace::ask() {
     double ei, pi, ucb;
   };
   std::vector<GpPrediction> preds(pool.size());
-  gp_.predict_block(pool, preds);
+  model_.gp.predict_block(pool, preds);
   std::vector<Acq> acq(pool.size());
   for (std::size_t k = 0; k < pool.size(); ++k) {
     const GpPrediction& p = preds[k];
@@ -50,9 +49,10 @@ std::vector<std::vector<double>> Mace::ask() {
       acq[k] = {0.0, 0.0, p.mean};
       continue;
     }
-    const double z = (p.mean - best_y_ - opt_.xi) / sd;
-    acq[k] = {(p.mean - best_y_ - opt_.xi) * norm_cdf(z) + sd * norm_pdf(z),
-              norm_cdf(z), p.mean + opt_.lcb_kappa * sd};
+    const double z = (p.mean - model_.best_y - opt_.xi) / sd;
+    acq[k] = {
+        (p.mean - model_.best_y - opt_.xi) * norm_cdf(z) + sd * norm_pdf(z),
+        norm_cdf(z), p.mean + opt_.lcb_kappa * sd};
   }
 
   // Pareto front over (ei, pi, ucb).
@@ -98,24 +98,9 @@ std::vector<std::vector<double>> Mace::ask() {
 
 void Mace::tell(const std::vector<std::vector<double>>& xs,
                 const std::vector<double>& ys) {
-  check_tell_batch(xs, ys, dim_, "Mace::tell");
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    xs_.push_back(xs[i]);
-    ys_.push_back(ys[i]);
-    best_y_ = std::max(best_y_, ys[i]);
-  }
-  if (static_cast<int>(xs_.size()) < opt_.initial_random) return;
   // Same capped training set as BayesOpt: the newest point always enters.
-  const std::vector<int> keep = gp_training_subset(ys_, opt_.max_gp_points);
-  std::vector<std::vector<double>> x_fit;
-  std::vector<double> y_fit;
-  x_fit.reserve(keep.size());
-  y_fit.reserve(keep.size());
-  for (const int idx : keep) {
-    x_fit.push_back(xs_[static_cast<std::size_t>(idx)]);
-    y_fit.push_back(ys_[static_cast<std::size_t>(idx)]);
-  }
-  gp_.fit(x_fit, y_fit);
+  model_.tell(xs, ys, dim_, opt_.initial_random, opt_.max_gp_points,
+              "Mace::tell");
 }
 
 }  // namespace gcnrl::opt

@@ -38,10 +38,7 @@ class Mace : public Optimizer {
   int dim_;
   Rng rng_;
   MaceOptions opt_;
-  GaussianProcess gp_;
-  std::vector<std::vector<double>> xs_;
-  std::vector<double> ys_;
-  double best_y_ = -1e300;
+  GpSurrogate model_;
 };
 
 }  // namespace gcnrl::opt

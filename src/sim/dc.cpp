@@ -1,18 +1,12 @@
 #include "sim/dc.hpp"
 
-#include <chrono>
 #include <cmath>
 
 #include "sim/perf.hpp"
+#include "sim/stamps.hpp"
 
 namespace gcnrl::sim {
 namespace {
-
-using clock_type = std::chrono::steady_clock;
-
-double seconds_between(clock_type::time_point a, clock_type::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
 
 double source_value(double dc, const circuit::Pwl& pwl, double time) {
   if (time >= 0.0 && !pwl.empty()) return pwl.at(time);
@@ -26,92 +20,10 @@ double source_value(double dc, const circuit::Pwl& pwl, double time) {
 struct DcWork {
   la::Mat j;
   la::Lu<double> lu;
-  std::vector<double> f, rhs, dx;
+  std::vector<double> src, f, rhs, dx;
   MosEval mos;
   PhaseSeconds phase;
 };
-
-// Build residual + dense Jacobian at unknown vector x. `alpha` scales all
-// independent sources (source stepping); `gmin` shunts every node. The
-// MOSFETs are evaluated in one batch up front; the stamps and their order
-// are the legacy dense assembly verbatim, and only the storage is reused
-// between calls.
-void build_dense(const SimContext& ctx, const std::vector<double>& x,
-                 double alpha, double gmin, double source_time, la::Mat& j,
-                 std::vector<double>& f, MosEval& mos_eval) {
-  const MnaMap& m = ctx.map;
-  const circuit::Netlist& nl = ctx.nl;
-  if (j.rows() != m.dim() || j.cols() != m.dim()) {
-    j = la::Mat(m.dim(), m.dim());
-  } else {
-    j.fill(0.0);
-  }
-  f.assign(m.dim(), 0.0);
-
-  auto volt = [&](int node) { return node == 0 ? 0.0 : x[m.v(node)]; };
-
-  for (const auto& res : nl.resistors()) {
-    const double g = 1.0 / std::max(res.r, kMinResistance);
-    stamp_conductance(j, m, res.a, res.b, g);
-    const double i = g * (volt(res.a) - volt(res.b));
-    if (m.v(res.a) >= 0) f[m.v(res.a)] += i;
-    if (m.v(res.b) >= 0) f[m.v(res.b)] -= i;
-  }
-
-  eval_mosfets(ctx, x, mos_eval);
-  for (std::size_t k = 0; k < nl.mosfets().size(); ++k) {
-    const auto& mos = nl.mosfets()[k];
-    const MosOp& op = mos_eval.op[k];
-    const int id_row = m.v(mos.d);
-    const int is_row = m.v(mos.s);
-    if (id_row >= 0) f[id_row] += op.id;
-    if (is_row >= 0) f[is_row] -= op.id;
-    // d(id)/dvg = gm, d(id)/dvd = gds, d(id)/dvs = -(gm + gds).
-    const int cg = m.v(mos.g);
-    const int cd = m.v(mos.d);
-    const int cs = m.v(mos.s);
-    auto add = [&](int row, double sign) {
-      if (row < 0) return;
-      if (cg >= 0) j(row, cg) += sign * op.gm;
-      if (cd >= 0) j(row, cd) += sign * op.gds;
-      if (cs >= 0) j(row, cs) -= sign * (op.gm + op.gds);
-    };
-    add(id_row, 1.0);
-    add(is_row, -1.0);
-  }
-
-  for (const auto& src : nl.isources()) {
-    const double i = alpha * source_value(src.dc, src.pwl, source_time);
-    // Current flows p -> n through the source: leaves p, enters n.
-    if (m.v(src.p) >= 0) f[m.v(src.p)] += i;
-    if (m.v(src.n) >= 0) f[m.v(src.n)] -= i;
-  }
-
-  for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
-    const auto& src = nl.vsources()[k];
-    const int b = m.branch(static_cast<int>(k));
-    const double i = x[b];
-    if (m.v(src.p) >= 0) {
-      f[m.v(src.p)] += i;
-      j(m.v(src.p), b) += 1.0;
-      j(b, m.v(src.p)) += 1.0;
-    }
-    if (m.v(src.n) >= 0) {
-      f[m.v(src.n)] -= i;
-      j(m.v(src.n), b) -= 1.0;
-      j(b, m.v(src.n)) -= 1.0;
-    }
-    f[b] = volt(src.p) - volt(src.n) -
-           alpha * source_value(src.dc, src.pwl, source_time);
-  }
-
-  // gmin shunts on every non-ground node.
-  for (int node = 1; node < m.num_nodes(); ++node) {
-    const int row = m.v(node);
-    j(row, row) += gmin;
-    f[row] += gmin * x[row];
-  }
-}
 
 struct NewtonResult {
   bool converged = false;
@@ -125,12 +37,23 @@ NewtonResult newton(const SimContext& ctx, DcWork& w, std::vector<double> x,
   const int nv = ctx.map.num_nodes() - 1;
   const int max_iter = max_iter_override > 0 ? max_iter_override
                                              : opt.max_iter;
+  // Every source's value, scaled by alpha (source stepping): isources,
+  // then vsources, as newton_stamps reads them.
+  w.src.clear();
+  for (const auto& src : ctx.nl.isources()) {
+    w.src.push_back(alpha * source_value(src.dc, src.pwl, opt.source_time));
+  }
+  for (const auto& src : ctx.nl.vsources()) {
+    w.src.push_back(alpha * source_value(src.dc, src.pwl, opt.source_time));
+  }
   int iters = 0;
   for (int iter = 0; iter < max_iter; ++iter) {
     ++iters;
-    const auto a0 = clock_type::now();
-    build_dense(ctx, x, alpha, gmin, opt.source_time, w.j, w.f, w.mos);
-    const auto a1 = clock_type::now();
+    const auto a0 = PhaseClock::now();
+    eval_mosfets(ctx, x, w.mos);
+    clear_dense(w.j, ctx.map.dim());
+    newton_stamps(ctx, x, w.mos.op, w.src.data(), gmin, nullptr, w.j, w.f);
+    const auto a1 = PhaseClock::now();
     w.rhs.resize(w.f.size());
     for (std::size_t i = 0; i < w.f.size(); ++i) w.rhs[i] = -w.f[i];
     try {
@@ -138,9 +61,9 @@ NewtonResult newton(const SimContext& ctx, DcWork& w, std::vector<double> x,
     } catch (const la::SingularMatrixError&) {
       return {false, std::move(x), iters};
     }
-    const auto a2 = clock_type::now();
+    const auto a2 = PhaseClock::now();
     w.lu.solve_into(w.rhs, w.dx);
-    const auto a3 = clock_type::now();
+    const auto a3 = PhaseClock::now();
     w.phase.assembly += seconds_between(a0, a1);
     w.phase.factor += seconds_between(a1, a2);
     w.phase.solve += seconds_between(a2, a3);
@@ -208,7 +131,7 @@ std::vector<double> project_op(const OpPoint& op, const MnaMap& map) {
 
 OpPoint solve_dc(const SimContext& ctx, const DcOptions& opt,
                  const std::vector<double>* warm_start, DcStats* stats) {
-  const auto t0 = clock_type::now();
+  const auto t0 = PhaseClock::now();
   DcStats local;
   DcStats& st = stats ? *stats : local;
   st = DcStats{};
@@ -217,7 +140,7 @@ OpPoint solve_dc(const SimContext& ctx, const DcOptions& opt,
 
   // Record once per solve no matter which return/throw path is taken.
   auto record = [&](bool ok) {
-    const double secs = seconds_between(t0, clock_type::now());
+    const double secs = seconds_between(t0, PhaseClock::now());
     const long warm_hit = (ok && st.warm_converged) ? 1 : 0;
     const long warm_fallback =
         (st.warm_attempted && !st.warm_converged) ? 1 : 0;

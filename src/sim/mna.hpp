@@ -1,5 +1,6 @@
 // Modified nodal analysis (MNA) infrastructure shared by the DC, AC,
-// transient and noise engines.
+// transient and noise engines. The stamps themselves are in
+// sim/stamps.hpp.
 //
 // Unknown ordering: node voltages for nodes 1..N-1 (ground eliminated),
 // followed by one branch current per voltage source. Sign conventions:
@@ -72,10 +73,11 @@ struct SimContext {
   // with nl.mosfets(): what eval_mos_batch evaluates.
   std::vector<MosDevice> devices;
   MnaMap map;
-  // Sparse-engine structure (CSR pattern + stamp slots), computed once
-  // per context from the topology alone — see sim/structure.hpp. Always
-  // built (construction is one netlist walk); the AC, noise and transient
-  // engines use it unless sparse_engine_enabled() is off. DC does not.
+  // Sparse-engine structure (CSR pattern + each stamp walk's value
+  // slots), computed once per context from the topology alone — see
+  // sim/structure.hpp. Always built (construction runs each stamp walk
+  // twice at zero values); the AC, noise and transient engines use it
+  // unless sparse_engine_enabled() is off. DC does not.
   std::unique_ptr<const MnaStructure> structure;
   // Lazily-created blocked sweep engine shared by the AC and noise
   // sweeps: caching it here keeps the symbolic factorization (and its
@@ -115,17 +117,6 @@ struct MosEval {
 // call into e.op.
 void eval_mosfets(const SimContext& ctx, const std::vector<double>& x,
                   MosEval& e);
-
-// Dense-stamp helpers (ground rows/cols skipped).
-void stamp_conductance(la::Mat& j, const MnaMap& m, int a, int b, double g);
-void stamp_conductance(la::CMat& j, const MnaMap& m, int a, int b,
-                       std::complex<double> g);
-// VCCS: current g*(vc_p - vc_n) flowing from out_p to out_n inside the
-// element (i.e. leaving node out_p).
-void stamp_vccs(la::Mat& j, const MnaMap& m, int out_p, int out_n, int c_p,
-                int c_n, double g);
-void stamp_vccs(la::CMat& j, const MnaMap& m, int out_p, int out_n, int c_p,
-                int c_n, std::complex<double> g);
 
 // Log-spaced frequency grid, inclusive of both endpoints.
 std::vector<double> logspace(double f_lo, double f_hi, int n);

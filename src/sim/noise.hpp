@@ -6,6 +6,8 @@
 // (a, b) to the output is then just y_a - y_b, so every device's
 // contribution costs O(1) after one adjoint solve. Output PSD is the sum
 // of |transfer|^2 * source PSD over all thermal and flicker sources.
+// solve_noise runs on the AC analysis' sweep (sim/ac.cpp) with a
+// transposed solve.
 #pragma once
 
 #include "sim/mna.hpp"

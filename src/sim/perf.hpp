@@ -10,19 +10,30 @@
 // The counters are process-global atomics, updated once per analysis call
 // (never per Newton iteration) with a handful of relaxed atomic adds. The
 // phase split costs more: DC and transient read the clock four times per
-// Newton iteration, the dense AC and noise sweeps four times per frequency
-// point, the sparse ones three times per block of frequency points. Wall
+// Newton iteration, the dense AC/noise sweep four times per frequency
+// point, the sparse one three times per block of frequency points. Wall
 // time feeds reporting only — it is never part of a result, a budget, or
 // a cache key, so the determinism contracts of the evaluation engine are
 // untouched. Snapshots are exact even while worker threads are recording.
+// PhaseClock below is the simulator's one wall-clock source.
 #pragma once
+
+#include <chrono>
 
 namespace gcnrl::sim {
 
+// The clock every analysis times its phases with.
+using PhaseClock = std::chrono::steady_clock;
+
+inline double seconds_between(PhaseClock::time_point a,
+                              PhaseClock::time_point b) {
+  return std::chrono::duration<double>(b - a).count();
+}
+
 // Wall time split by solver phase within one analysis call. `assembly` is
 // stamp evaluation + value-array/matrix fill; in DC and the transient it
-// includes every MOSFET's model evaluation, which build_dense and
-// build_tran_* run between the assembly clock reads. `factor` is the LU
+// includes every MOSFET's model evaluation, which each Newton iteration
+// runs between its assembly clock reads. `factor` is the LU
 // factorization (for the sparse AC/noise sweep this includes the blocked
 // per-frequency scatter, which is part of the blocked refactorization),
 // `solve` the triangular solves. The phases never sum exactly to the

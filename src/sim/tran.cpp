@@ -1,7 +1,6 @@
 #include "sim/tran.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -9,16 +8,11 @@
 #include <optional>
 
 #include "sim/perf.hpp"
+#include "sim/stamps.hpp"
 #include "sim/structure.hpp"
 
 namespace gcnrl::sim {
 namespace {
-
-using clock_type = std::chrono::steady_clock;
-
-double seconds_between(clock_type::time_point a, clock_type::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
 
 // Every independent source's value at time t: isources first, then
 // vsources, in netlist order. This is a step's only time input.
@@ -60,201 +54,6 @@ struct TranWork {
   PhaseSeconds phase;
 };
 
-// Dense residual + Jacobian for one Newton iteration under the step's
-// source values (see eval_sources). The MOSFETs are evaluated in one
-// batch up front; the stamps and their order are the legacy inline
-// assembly verbatim, and only the storage is reused between calls.
-void build_tran_dense(const SimContext& ctx, const OpPoint& ic,
-                      const std::vector<double>& x,
-                      const std::vector<double>& x_prev,
-                      const double* sources, double gh, double gmin,
-                      la::Mat& j, std::vector<double>& f, MosEval& mos_eval) {
-  const MnaMap& m = ctx.map;
-  const circuit::Netlist& nl = ctx.nl;
-  if (j.rows() != m.dim() || j.cols() != m.dim()) {
-    j = la::Mat(m.dim(), m.dim());
-  } else {
-    j.fill(0.0);
-  }
-  f.assign(m.dim(), 0.0);
-
-  auto volt = [&](const std::vector<double>& xx, int node) {
-    return node == 0 ? 0.0 : xx[m.v(node)];
-  };
-
-  for (const auto& res : nl.resistors()) {
-    const double g = 1.0 / std::max(res.r, kMinResistance);
-    stamp_conductance(j, m, res.a, res.b, g);
-    const double i = g * (volt(x, res.a) - volt(x, res.b));
-    if (m.v(res.a) >= 0) f[m.v(res.a)] += i;
-    if (m.v(res.b) >= 0) f[m.v(res.b)] -= i;
-  }
-
-  // Linear capacitors: backward-Euler companion model.
-  auto stamp_cap = [&](int a, int b, double c) {
-    const double g = c * gh;
-    stamp_conductance(j, m, a, b, g);
-    const double dv_now = volt(x, a) - volt(x, b);
-    const double dv_prev = volt(x_prev, a) - volt(x_prev, b);
-    const double i = g * (dv_now - dv_prev);
-    if (m.v(a) >= 0) f[m.v(a)] += i;
-    if (m.v(b) >= 0) f[m.v(b)] -= i;
-  };
-  for (const auto& cap : nl.capacitors()) stamp_cap(cap.a, cap.b, cap.c);
-
-  eval_mosfets(ctx, x, mos_eval);
-  for (std::size_t k = 0; k < nl.mosfets().size(); ++k) {
-    const auto& mos = nl.mosfets()[k];
-    const MosOp& op = mos_eval.op[k];
-    const int id_row = m.v(mos.d);
-    const int is_row = m.v(mos.s);
-    if (id_row >= 0) f[id_row] += op.id;
-    if (is_row >= 0) f[is_row] -= op.id;
-    const int cg = m.v(mos.g);
-    const int cd = m.v(mos.d);
-    const int cs = m.v(mos.s);
-    auto add = [&](int row, double sign) {
-      if (row < 0) return;
-      if (cg >= 0) j(row, cg) += sign * op.gm;
-      if (cd >= 0) j(row, cd) += sign * op.gds;
-      if (cs >= 0) j(row, cs) -= sign * (op.gm + op.gds);
-    };
-    add(id_row, 1.0);
-    add(is_row, -1.0);
-    // Device capacitances, same companion treatment.
-    const MosCaps& c = ic.caps[k];
-    stamp_cap(mos.g, mos.s, c.cgs);
-    stamp_cap(mos.g, mos.d, c.cgd);
-    stamp_cap(mos.d, mos.b, c.cdb);
-    stamp_cap(mos.s, mos.b, c.csb);
-  }
-
-  const std::size_t ni = nl.isources().size();
-  for (std::size_t k = 0; k < ni; ++k) {
-    const auto& src = nl.isources()[k];
-    const double i = sources[k];
-    if (m.v(src.p) >= 0) f[m.v(src.p)] += i;
-    if (m.v(src.n) >= 0) f[m.v(src.n)] -= i;
-  }
-  for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
-    const auto& src = nl.vsources()[k];
-    const int b = m.branch(static_cast<int>(k));
-    const double i = x[b];
-    if (m.v(src.p) >= 0) {
-      f[m.v(src.p)] += i;
-      j(m.v(src.p), b) += 1.0;
-      j(b, m.v(src.p)) += 1.0;
-    }
-    if (m.v(src.n) >= 0) {
-      f[m.v(src.n)] -= i;
-      j(m.v(src.n), b) -= 1.0;
-      j(b, m.v(src.n)) -= 1.0;
-    }
-    f[b] = volt(x, src.p) - volt(x, src.n) - sources[ni + k];
-  }
-
-  for (int node = 1; node < m.num_nodes(); ++node) {
-    const int row = m.v(node);
-    j(row, row) += gmin;
-    f[row] += gmin * x[row];
-  }
-}
-
-// Sparse variant: identical residual, Jacobian written through the
-// precomputed stamp slots.
-void build_tran_sparse(const SimContext& ctx, const MnaStructure& st,
-                       const OpPoint& ic, const std::vector<double>& x,
-                       const std::vector<double>& x_prev,
-                       const double* sources, double gh, double gmin,
-                       std::vector<double>& vals, std::vector<double>& f,
-                       MosEval& mos_eval) {
-  const MnaMap& m = ctx.map;
-  const circuit::Netlist& nl = ctx.nl;
-  vals.assign(st.pattern.nnz(), 0.0);
-  f.assign(m.dim(), 0.0);
-
-  auto volt = [&](const std::vector<double>& xx, int node) {
-    return node == 0 ? 0.0 : xx[m.v(node)];
-  };
-  // Residual contribution of a backward-Euler companion capacitor whose
-  // conductance quad is already slot-resolved.
-  auto cap_residual = [&](int a, int b, double g) {
-    const double dv_now = volt(x, a) - volt(x, b);
-    const double dv_prev = volt(x_prev, a) - volt(x_prev, b);
-    const double i = g * (dv_now - dv_prev);
-    if (m.v(a) >= 0) f[m.v(a)] += i;
-    if (m.v(b) >= 0) f[m.v(b)] -= i;
-  };
-
-  for (std::size_t k = 0; k < nl.resistors().size(); ++k) {
-    const auto& res = nl.resistors()[k];
-    const double g = 1.0 / std::max(res.r, kMinResistance);
-    add_quad(vals.data(), st.resistors[k], g);
-    const double i = g * (volt(x, res.a) - volt(x, res.b));
-    if (m.v(res.a) >= 0) f[m.v(res.a)] += i;
-    if (m.v(res.b) >= 0) f[m.v(res.b)] -= i;
-  }
-
-  for (std::size_t k = 0; k < nl.capacitors().size(); ++k) {
-    const auto& cap = nl.capacitors()[k];
-    const double g = cap.c * gh;
-    add_quad(vals.data(), st.capacitors[k], g);
-    cap_residual(cap.a, cap.b, g);
-  }
-
-  eval_mosfets(ctx, x, mos_eval);
-  for (std::size_t k = 0; k < nl.mosfets().size(); ++k) {
-    const auto& mos = nl.mosfets()[k];
-    const MosOp& op = mos_eval.op[k];
-    const int id_row = m.v(mos.d);
-    const int is_row = m.v(mos.s);
-    if (id_row >= 0) f[id_row] += op.id;
-    if (is_row >= 0) f[is_row] -= op.id;
-    const MosSlots& ms = st.mosfets[k];
-    add_mos_g(vals.data(), ms, op.gm, op.gds);
-    const MosCaps& c = ic.caps[k];
-    add_quad(vals.data(), ms.cgs, c.cgs * gh);
-    cap_residual(mos.g, mos.s, c.cgs * gh);
-    add_quad(vals.data(), ms.cgd, c.cgd * gh);
-    cap_residual(mos.g, mos.d, c.cgd * gh);
-    add_quad(vals.data(), ms.cdb, c.cdb * gh);
-    cap_residual(mos.d, mos.b, c.cdb * gh);
-    add_quad(vals.data(), ms.csb, c.csb * gh);
-    cap_residual(mos.s, mos.b, c.csb * gh);
-  }
-
-  const std::size_t ni = nl.isources().size();
-  for (std::size_t k = 0; k < ni; ++k) {
-    const auto& src = nl.isources()[k];
-    const double i = sources[k];
-    if (m.v(src.p) >= 0) f[m.v(src.p)] += i;
-    if (m.v(src.n) >= 0) f[m.v(src.n)] -= i;
-  }
-  for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
-    const auto& src = nl.vsources()[k];
-    const int b = m.branch(static_cast<int>(k));
-    const double i = x[b];
-    const VsrcSlots& vs = st.vsources[k];
-    if (m.v(src.p) >= 0) {
-      f[m.v(src.p)] += i;
-      vals[vs.pb] += 1.0;
-      vals[vs.bp] += 1.0;
-    }
-    if (m.v(src.n) >= 0) {
-      f[m.v(src.n)] -= i;
-      vals[vs.nb] -= 1.0;
-      vals[vs.bn] -= 1.0;
-    }
-    f[b] = volt(x, src.p) - volt(x, src.n) - sources[ni + k];
-  }
-
-  for (int node = 1; node < m.num_nodes(); ++node) {
-    const int row = m.v(node);
-    vals[st.node_diag[node - 1]] += gmin;
-    f[row] += gmin * x[row];
-  }
-}
-
 // One backward-Euler step: Newton from x (the previous step's solution,
 // also x_prev) to this step's solution, in place. Throws SimError when
 // Newton fails, SparseEngineFallback when the sparse LU rejects a matrix.
@@ -263,29 +62,24 @@ void newton_step(const SimContext& ctx, const OpPoint& ic,
                  double gh, TranWork& w, std::vector<double>& x,
                  const std::vector<double>& x_prev) {
   const int nv = ctx.map.num_nodes() - 1;
+  const Companions be{x_prev, ic.caps, gh};
   for (int iter = 0; iter < opt.max_newton; ++iter) {
+    const auto a0 = PhaseClock::now();
+    eval_mosfets(ctx, x, w.mos);
     if (w.slu) {
-      const auto a0 = clock_type::now();
-      build_tran_sparse(ctx, *w.st, ic, x, x_prev, sources, gh, opt.gmin,
-                        w.vals, w.f, w.mos);
-      const auto a1 = clock_type::now();
-      if (!w.slu->factor_values(w.vals.data())) throw SparseEngineFallback{};
-      const auto a2 = clock_type::now();
-      w.rhs.resize(w.f.size());
-      for (std::size_t i = 0; i < w.f.size(); ++i) w.rhs[i] = -w.f[i];
-      w.dx.resize(w.f.size());
-      w.slu->solve_into(w.rhs.data(), w.dx.data());
-      const auto a3 = clock_type::now();
-      w.phase.assembly += seconds_between(a0, a1);
-      w.phase.factor += seconds_between(a1, a2);
-      w.phase.solve += seconds_between(a2, a3);
+      w.vals.assign(w.st->pattern.nnz(), 0.0);
+      SlotSink jac(w.st->newton_slots, w.vals.data());
+      newton_stamps(ctx, x, w.mos.op, sources, opt.gmin, &be, jac, w.f);
     } else {
-      const auto a0 = clock_type::now();
-      build_tran_dense(ctx, ic, x, x_prev, sources, gh, opt.gmin, w.j, w.f,
-                       w.mos);
-      const auto a1 = clock_type::now();
-      w.rhs.resize(w.f.size());
-      for (std::size_t i = 0; i < w.f.size(); ++i) w.rhs[i] = -w.f[i];
+      clear_dense(w.j, ctx.map.dim());
+      newton_stamps(ctx, x, w.mos.op, sources, opt.gmin, &be, w.j, w.f);
+    }
+    const auto a1 = PhaseClock::now();
+    w.rhs.resize(w.f.size());
+    for (std::size_t i = 0; i < w.f.size(); ++i) w.rhs[i] = -w.f[i];
+    if (w.slu) {
+      if (!w.slu->factor_values(w.vals.data())) throw SparseEngineFallback{};
+    } else {
       try {
         w.lu.factor_swap(w.j);
       } catch (const la::SingularMatrixError&) {
@@ -293,13 +87,18 @@ void newton_step(const SimContext& ctx, const OpPoint& ic,
                        format_time(t_now) + " s (Newton iteration " +
                        std::to_string(iter + 1) + ")");
       }
-      const auto a2 = clock_type::now();
-      w.lu.solve_into(w.rhs, w.dx);
-      const auto a3 = clock_type::now();
-      w.phase.assembly += seconds_between(a0, a1);
-      w.phase.factor += seconds_between(a1, a2);
-      w.phase.solve += seconds_between(a2, a3);
     }
+    const auto a2 = PhaseClock::now();
+    if (w.slu) {
+      w.dx.resize(w.f.size());
+      w.slu->solve_into(w.rhs.data(), w.dx.data());
+    } else {
+      w.lu.solve_into(w.rhs, w.dx);
+    }
+    const auto a3 = PhaseClock::now();
+    w.phase.assembly += seconds_between(a0, a1);
+    w.phase.factor += seconds_between(a1, a2);
+    w.phase.solve += seconds_between(a2, a3);
     double max_dv = 0.0;
     for (int i = 0; i < nv; ++i) {
       max_dv = std::max(max_dv, std::fabs(w.dx[i]));
@@ -384,7 +183,7 @@ int step_count(const TranOptions& opt) {
 
 TranResult solve_tran_impl(const SimContext& ctx, const OpPoint& ic,
                            const TranOptions& opt, bool use_sparse) {
-  const auto t0 = clock_type::now();
+  const auto t0 = PhaseClock::now();
   const MnaMap& m = ctx.map;
   const circuit::Netlist& nl = ctx.nl;
   const int steps = step_count(opt);
@@ -450,8 +249,9 @@ TranResult solve_tran_impl(const SimContext& ctx, const OpPoint& ic,
     x_prev = x;
     src.swap(src_prev);
   }
-  sim_perf_record(Analysis::Tran, steps, seconds_between(t0, clock_type::now()),
-                  0, 0, &w.phase, replayed);
+  sim_perf_record(Analysis::Tran, steps,
+                  seconds_between(t0, PhaseClock::now()), 0, 0, &w.phase,
+                  replayed);
   return out;
 }
 

@@ -368,32 +368,61 @@ TEST(Meas, Logspace) {
 
 namespace {
 
+using cd = std::complex<double>;
+
+// Dense complex stamps of the legacy assembly below (ground rows/cols
+// skipped).
+void stamp_conductance(la::CMat& j, const sim::MnaMap& m, int a, int b,
+                       cd g) {
+  const int ia = m.v(a);
+  const int ib = m.v(b);
+  if (ia >= 0) j(ia, ia) += g;
+  if (ib >= 0) j(ib, ib) += g;
+  if (ia >= 0 && ib >= 0) {
+    j(ia, ib) -= g;
+    j(ib, ia) -= g;
+  }
+}
+
+// VCCS: current g*(vc_p - vc_n) flowing from out_p to out_n inside the
+// element (i.e. leaving node out_p).
+void stamp_vccs(la::CMat& j, const sim::MnaMap& m, int out_p, int out_n,
+                int c_p, int c_n, cd g) {
+  const int ip = m.v(out_p);
+  const int in = m.v(out_n);
+  const int icp = m.v(c_p);
+  const int icn = m.v(c_n);
+  if (ip >= 0 && icp >= 0) j(ip, icp) += g;
+  if (ip >= 0 && icn >= 0) j(ip, icn) -= g;
+  if (in >= 0 && icp >= 0) j(in, icp) -= g;
+  if (in >= 0 && icn >= 0) j(in, icn) += g;
+}
+
 // The legacy single-pass AC assembly (one netlist walk per frequency),
 // kept here as the reference for the split G/C assembly the solvers use.
 la::CMat build_ac_matrix(const sim::SimContext& ctx, const sim::OpPoint& op,
                          double omega) {
-  using cd = std::complex<double>;
   const sim::MnaMap& m = ctx.map;
   const circuit::Netlist& nl = ctx.nl;
   la::CMat y(m.dim(), m.dim());
 
   for (const auto& res : nl.resistors()) {
-    sim::stamp_conductance(y, m, res.a, res.b,
-                           cd(1.0 / std::max(res.r, sim::kMinResistance)));
+    stamp_conductance(y, m, res.a, res.b,
+                      cd(1.0 / std::max(res.r, sim::kMinResistance)));
   }
   for (const auto& cap : nl.capacitors()) {
-    sim::stamp_conductance(y, m, cap.a, cap.b, cd(0.0, omega * cap.c));
+    stamp_conductance(y, m, cap.a, cap.b, cd(0.0, omega * cap.c));
   }
   for (std::size_t k = 0; k < nl.mosfets().size(); ++k) {
     const auto& mos = nl.mosfets()[k];
     const sim::MosOp& mop = op.mos[k];
     const sim::MosCaps& c = op.caps[k];
-    sim::stamp_vccs(y, m, mos.d, mos.s, mos.g, mos.s, cd(mop.gm));
-    sim::stamp_conductance(y, m, mos.d, mos.s, cd(mop.gds));
-    sim::stamp_conductance(y, m, mos.g, mos.s, cd(0.0, omega * c.cgs));
-    sim::stamp_conductance(y, m, mos.g, mos.d, cd(0.0, omega * c.cgd));
-    sim::stamp_conductance(y, m, mos.d, mos.b, cd(0.0, omega * c.cdb));
-    sim::stamp_conductance(y, m, mos.s, mos.b, cd(0.0, omega * c.csb));
+    stamp_vccs(y, m, mos.d, mos.s, mos.g, mos.s, cd(mop.gm));
+    stamp_conductance(y, m, mos.d, mos.s, cd(mop.gds));
+    stamp_conductance(y, m, mos.g, mos.s, cd(0.0, omega * c.cgs));
+    stamp_conductance(y, m, mos.g, mos.d, cd(0.0, omega * c.cgd));
+    stamp_conductance(y, m, mos.d, mos.b, cd(0.0, omega * c.cdb));
+    stamp_conductance(y, m, mos.s, mos.b, cd(0.0, omega * c.csb));
   }
   for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
     const auto& src = nl.vsources()[k];
@@ -1118,5 +1147,126 @@ TEST(Mosfet, ModelMatchesParentDigests) {
           << "batch " << batch << ", case " << k;
     }
     EXPECT_EQ(hb, kDigest) << "batch " << batch << ": 0x" << std::hex << hb;
+  }
+}
+
+// ---------------------------------------------------------------------
+// DC, AC and noise pinned bit for bit, per engine.
+// ---------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t fnv1a_values(std::uint64_t h, const std::vector<double>& v) {
+  for (const double x : v) h = fnv1a_value(h, x);
+  return h;
+}
+
+std::uint64_t fnv1a_counts(std::uint64_t h, const sim::AnalysisPerf& p) {
+  for (const long v : {p.calls, p.items, p.warm_hits, p.warm_fallbacks,
+                       p.sparse_fallbacks}) {
+    h = fnv1a(h, &v, sizeof v);
+  }
+  return h;
+}
+
+// One design's MNA pattern, DC operating point, 97-point AC sweep and
+// noise PSD at (outp, outn) on the engine currently selected, plus the
+// sim_perf counts of those three analyses, folded into `h`. A SimError
+// folds in its message instead of the analysis' values.
+std::uint64_t small_signal_digest(std::uint64_t h,
+                                  const circuit::Netlist& sized, int outp,
+                                  int outn) {
+  const std::vector<double> freqs = sim::logspace(1e3, 1e11, 97);
+  sim::sim_perf_reset();
+  sim::Simulator s(sized, kTech);
+  const la::SparsePattern& pat = s.context().structure->pattern;
+  h = fnv1a(h, &pat.n, sizeof pat.n);
+  h = fnv1a(h, pat.row_ptr.data(), pat.row_ptr.size() * sizeof(int));
+  h = fnv1a(h, pat.col_idx.data(), pat.col_idx.size() * sizeof(int));
+  try {
+    const sim::OpPoint& op = s.op();
+    h = fnv1a_values(fnv1a_values(h, op.v), op.branch_i);
+    for (const sim::MosOp& m : op.mos) h = fnv1a_op(h, m);
+    for (const sim::MosCaps& c : op.caps) {
+      for (const double v : {c.cgs, c.cgd, c.cdb, c.csb}) {
+        h = fnv1a_value(h, v);
+      }
+    }
+  } catch (const sim::SimError& e) {
+    h = fnv1a(h, std::string("dc: ") + e.what());
+  }
+  try {
+    const sim::AcResult ac = s.ac(freqs);
+    for (int f = 0; f < ac.v.rows(); ++f) {
+      for (int n = 0; n < ac.v.cols(); ++n) {
+        h = fnv1a_value(fnv1a_value(h, ac.v(f, n).real()), ac.v(f, n).imag());
+      }
+    }
+  } catch (const sim::SimError& e) {
+    h = fnv1a(h, std::string("ac: ") + e.what());
+  }
+  try {
+    h = fnv1a_values(h, s.noise(freqs, outp, outn).out_psd);
+  } catch (const sim::SimError& e) {
+    h = fnv1a(h, std::string("noise: ") + e.what());
+  }
+  const sim::SimPerf p = sim::sim_perf_snapshot();
+  h = fnv1a_counts(fnv1a_counts(fnv1a_counts(h, p.dc), p.ac), p.noise);
+  sim::sim_perf_reset();
+  return h;
+}
+
+}  // namespace
+
+// Each shipped circuit's base netlist at 180 nm, sized by the human expert
+// and by 8 seeded random designs, must hash to the digests captured before
+// the MNA stamps were unified, on the dense and on the sparse engine. The
+// LDO's VDD carries ac=1, as its psrr bench sets it. Like the transient
+// digests, these depend on the platform's libm and on the build having no
+// FMA contraction. A build with FMA enabled (e.g. -march=native) skips the
+// test: GCC 12's SLP vectorizer turns complex multiplies in the dense
+// complex LU into vfmaddsub even under -ffp-contract=off, so the dense
+// AC/noise engine rounds differently there, and differently again for
+// each way the LU happens to be inlined.
+TEST(Engines, DcAcNoiseMatchParentDigests) {
+#if defined(__FMA__)
+  GTEST_SKIP() << "FMA is enabled: complex multiplies may be fused";
+#endif
+  struct Case {
+    const char* circuit;
+    const char* outp;
+    const char* outn;  // nullptr: ground
+    std::uint64_t dense, sparse;
+  };
+  const Case cases[] = {
+      {"Two-TIA", "vout", nullptr, 0x6a2e62f5e2cd5d83, 0x1482b688a6a42ad3},
+      {"Two-Volt", "voa", "vob", 0xb6573fde15d17d8a, 0x9a3ff38d99b371a2},
+      {"Three-TIA", "vout1", "vout2", 0xc8eaa548e23796f3,
+       0x2ff7c7259ce2728d},
+      {"LDO", "vout", nullptr, 0xfb3603269fbd2b18, 0x6f4e8161bc4207f2},
+  };
+  for (const Case& c : cases) {
+    const auto bc = gcnrl::api::build_circuit(c.circuit, kTech);
+    circuit::Netlist base = bc.netlist;
+    if (c.circuit == std::string("LDO")) base.find_vsource("VDD")->ac = 1.0;
+    const int outp = base.find_node(c.outp).value();
+    const int outn = c.outn ? base.find_node(c.outn).value() : 0;
+    std::vector<circuit::DesignParams> designs{bc.human_expert};
+    gcnrl::Rng rng(2024);
+    while (designs.size() < 9) {
+      designs.push_back(bc.space.refine(bc.space.random_actions(rng)));
+    }
+    for (const bool sparse : {false, true}) {
+      SparseEngineGuard guard(sparse);
+      std::uint64_t h = kFnvBasis;
+      for (const circuit::DesignParams& p : designs) {
+        circuit::Netlist sized = base;
+        bc.space.apply(sized, p);
+        h = small_signal_digest(h, sized, outp, outn);
+      }
+      EXPECT_EQ(h, sparse ? c.sparse : c.dense)
+          << c.circuit << (sparse ? " sparse" : " dense") << ": 0x"
+          << std::hex << h;
+    }
   }
 }

@@ -8,9 +8,9 @@
 #
 # Two checks over src/**.{cpp,hpp}:
 #   1. Wall-clock sources (std::chrono::steady_clock / system_clock,
-#      time()-family calls) are banned outside WALLCLOCK_ALLOW. The
-#      allowlisted simulator files use steady_clock exclusively for the
-#      perf-attribution counters (PerfStats) that never feed results.
+#      time()-family calls) are banned outside WALLCLOCK_ALLOW. The one
+#      allowlisted file defines the simulator's phase clock, which feeds
+#      only the perf-attribution counters (sim::SimPerf), never results.
 #   2. std::unordered_map / std::unordered_set are banned outside
 #      UNORDERED_ALLOW. Each allowlisted file has been reviewed: the
 #      containers are used for keyed lookup only; anything ordered that
@@ -31,12 +31,10 @@ set -u
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT" || exit 2
 
-# steady_clock here is perf attribution only (sim::PerfStats timers).
+# steady_clock here is perf attribution only: sim::PhaseClock, read by
+# every analysis for its sim::SimPerf phase split.
 WALLCLOCK_ALLOW="
-src/sim/ac.cpp
-src/sim/dc.cpp
-src/sim/noise.cpp
-src/sim/tran.cpp
+src/sim/perf.hpp
 "
 
 # Keyed lookup only; iteration never ordered into results.
